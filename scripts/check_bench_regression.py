@@ -62,12 +62,15 @@ Checks, in order of severity:
    payload as a direct engine run + CLI render of the same spec — the
    serving layer is transport, never arithmetic. PR 10 extends the
    same section with a connection_sweep array (1/4/16/64 pipelined
-   connections on both the threads and epoll transports): every sweep
-   point's payloads_match flag — and the folded
-   connection_sweep_payloads_match — is checked at the same severity,
-   because each point byte-compares every served payload against the
-   pre-sweep baseline. Snapshots predating the sweep simply lack the
-   keys and are skipped. The PR 9
+   connections): every sweep point's payloads_match flag — and the
+   folded connection_sweep_payloads_match — is checked at the same
+   severity, because each point byte-compares every served payload
+   against the pre-sweep baseline. Points are keyed by (transport,
+   connections); the server has one transport, "epoll", and points of
+   any other transport in an older snapshot (PR 10 also swept the
+   since-removed "threads" transport) have no fresh counterpart and are
+   not compared. Snapshots predating the sweep simply lack the keys and
+   are skipped. The PR 9
    markov_scaling section adds three more: sparse_matches_dense (the
    sparse Ulam operator must equal the dense oracle entry for entry and
    propagate bit for bit), deterministic_across_thread_counts (build,

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "serve/json.h"
+#include "serve/protocol.h"
 
 namespace eqimpact {
 namespace serve {
@@ -17,13 +18,6 @@ namespace {
 std::string FieldString(const JsonValue& object, const char* key) {
   const JsonValue* value = object.Find(key);
   return (value != nullptr && value->is_string()) ? value->as_string() : "";
-}
-
-size_t FieldCount(const JsonValue& object, const char* key) {
-  const JsonValue* value = object.Find(key);
-  return (value != nullptr && value->is_number())
-             ? static_cast<size_t>(value->as_number())
-             : 0;
 }
 
 bool FieldBool(const JsonValue& object, const char* key) {
@@ -49,11 +43,21 @@ bool ParseEventLine(const std::string& line, ClientEvent* event,
   }
   event->id = FieldString(object, "id");
   event->cached = FieldBool(object, "cached");
-  event->queue_depth = FieldCount(object, "queue_depth");
   event->unit = FieldString(object, "unit");
-  event->index = FieldCount(object, "index");
-  event->completed = FieldCount(object, "completed");
-  event->total = FieldCount(object, "total");
+  const struct {
+    const char* key;
+    size_t* out;
+  } counts[] = {{"queue_depth", &event->queue_depth},
+                {"index", &event->index},
+                {"completed", &event->completed},
+                {"total", &event->total}};
+  for (const auto& count : counts) {
+    if (!ReadCount(object.Find(count.key), count.out, /*allow_zero=*/true)) {
+      *error = std::string("event field \"") + count.key +
+               "\" is not a non-negative integer";
+      return false;
+    }
+  }
   const std::string digest_hex = FieldString(object, "digest");
   if (!digest_hex.empty()) {
     event->digest = std::strtoull(digest_hex.c_str(), nullptr, 16);

@@ -174,8 +174,14 @@ void EventLoop::CloseListener() {
 void EventLoop::TouchDeadline(Connection* connection) {
   if (limits_.idle_timeout_ms <= 0) return;
   if (connection->has_deadline) deadlines_.erase(connection->deadline);
-  connection->deadline = deadlines_.emplace(
-      NowMs() + limits_.idle_timeout_ms, connection->id);
+  // Saturate: now + a huge timeout must mean "far future", not wrap
+  // into the past and close the connection on the next sweep.
+  const int64_t now = NowMs();
+  const int64_t deadline =
+      limits_.idle_timeout_ms > INT64_MAX - now
+          ? INT64_MAX
+          : now + limits_.idle_timeout_ms;
+  connection->deadline = deadlines_.emplace(deadline, connection->id);
   connection->has_deadline = true;
 }
 
@@ -346,8 +352,8 @@ void EventLoop::HandleReadable(Connection* connection) {
       return;
     }
     if (n == 0) {
-      // Peer hung up: matching the threads transport, the connection is
-      // closed out and any still-running job's events are dropped.
+      // Peer hung up: the connection is closed out and any
+      // still-running job's events are dropped.
       CloseConnection(connection->id);
       return;
     }

@@ -10,21 +10,6 @@ namespace eqimpact {
 namespace serve {
 namespace {
 
-/// Shared guard for count-like request fields: a non-negative integral
-/// JSON number that fits a size_t without precision loss.
-bool ReadCount(const JsonValue* value, size_t* out, bool allow_zero) {
-  if (value == nullptr) return true;  // Keep the default.
-  if (!value->is_number()) return false;
-  const double number = value->as_number();
-  if (!std::isfinite(number) || number < 0.0 || number > 1e15 ||
-      number != std::floor(number)) {
-    return false;
-  }
-  if (!allow_zero && number == 0.0) return false;
-  *out = static_cast<size_t>(number);
-  return true;
-}
-
 std::string HexDigest(uint64_t digest) {
   char buffer[24];
   std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, digest);
@@ -40,6 +25,19 @@ void MixString(base::Fnv1a* f, const std::string& text) {
 }
 
 }  // namespace
+
+bool ReadCount(const JsonValue* value, size_t* out, bool allow_zero) {
+  if (value == nullptr) return true;  // Keep the default.
+  if (!value->is_number()) return false;
+  const double number = value->as_number();
+  if (!std::isfinite(number) || number < 0.0 || number > 1e15 ||
+      number != std::floor(number)) {
+    return false;
+  }
+  if (!allow_zero && number == 0.0) return false;
+  *out = static_cast<size_t>(number);
+  return true;
+}
 
 const char* ErrorCodeName(ErrorCode code) {
   switch (code) {

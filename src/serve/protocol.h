@@ -84,6 +84,14 @@ struct JobSpec {
   bool is_sweep() const { return !sweeps.empty(); }
 };
 
+/// Guard for count-like JSON fields, shared by request parsing and the
+/// client's event parsing: true when `value` is absent (`*out` keeps
+/// its value) or a non-negative integral number no larger than 1e15,
+/// which converts to size_t exactly. A non-number, a negative, a
+/// fraction or a larger magnitude returns false and leaves `*out`
+/// alone; so does 0 unless `allow_zero`.
+bool ReadCount(const JsonValue* value, size_t* out, bool allow_zero);
+
 /// Parses a request line's JSON object into a spec. Returns true on
 /// success; on failure fills (code, message) with a typed rejection.
 /// Registry validation (unknown scenario / rejected parameter values)

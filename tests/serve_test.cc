@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -49,7 +50,6 @@ using eqimpact::serve::Scheduler;
 using eqimpact::serve::SchedulerOptions;
 using eqimpact::serve::Server;
 using eqimpact::serve::ServerOptions;
-using eqimpact::serve::ServerTransport;
 using eqimpact::serve::ServiceOptions;
 using eqimpact::serve::TransportStats;
 
@@ -198,6 +198,30 @@ TEST(ServeProtocol, FingerprintSeparatesSpecs) {
   JobSpec with_id = base;
   with_id.id = "client-7";
   EXPECT_EQ(base_print, eqimpact::serve::JobSpecFingerprint(with_id));
+}
+
+TEST(ServeProtocol, ParseEventLineReadsAndGuardsCounts) {
+  ClientEvent event;
+  std::string error;
+  ASSERT_TRUE(eqimpact::serve::ParseEventLine(
+      R"({"id": "j", "event": "progress", "unit": "trial", "index": 2, )"
+      R"("completed": 3, "total": 4})",
+      &event, &error))
+      << error;
+  EXPECT_EQ(event.event, "progress");
+  EXPECT_EQ(event.index, 2u);
+  EXPECT_EQ(event.completed, 3u);
+  EXPECT_EQ(event.total, 4u);
+  // A peer's count must pass the same guard as a request's: negative,
+  // huge and fractional values are rejected, never cast to size_t.
+  for (const char* bad : {"-1", "1e300", "2.5"}) {
+    error.clear();
+    EXPECT_FALSE(eqimpact::serve::ParseEventLine(
+        std::string(R"({"event": "accepted", "queue_depth": )") + bad + "}",
+        &event, &error))
+        << bad;
+    EXPECT_NE(error.find("queue_depth"), std::string::npos) << error;
+  }
 }
 
 // --- Scheduler --------------------------------------------------------
@@ -351,6 +375,12 @@ ServiceOptions SmallService() {
   return options;
 }
 
+ServerOptions SmallServer() {
+  ServerOptions options;
+  options.service = SmallService();
+  return options;
+}
+
 const char kSmallCreditJob[] =
     R"({"scenario": "credit", "trials": 2, "set": {"num_users": 150}})";
 
@@ -471,8 +501,7 @@ TEST(ServeService, ShutdownRejectsNewJobsWithTypedError) {
 // --- TCP server -------------------------------------------------------
 
 TEST(ServeServer, ServesOverLoopbackByteIdenticallyToTheRenderer) {
-  ServerOptions options;
-  options.service = SmallService();
+  ServerOptions options = SmallServer();
   Server server(options);
   ASSERT_TRUE(server.Start());
   ASSERT_GT(server.port(), 0);
@@ -501,6 +530,37 @@ TEST(ServeServer, ServesOverLoopbackByteIdenticallyToTheRenderer) {
             eqimpact::serve::RenderExperimentJson(direct, header));
   EXPECT_EQ(last.digest, eqimpact::sim::ExperimentDigest(direct));
 
+  // A market job and a sweep job: every document shape the service
+  // renders reaches the wire byte for byte.
+  ASSERT_TRUE(client.SubmitAndWait(
+      R"({"scenario": "market", "trials": 2, "set": {"exploration": 0.1}})",
+      &last, &error))
+      << error;
+  std::unique_ptr<eqimpact::sim::Scenario> market =
+      eqimpact::sim::CreateScenario("market");
+  ASSERT_TRUE(market->SetParameter("exploration", 0.1));
+  direct = eqimpact::sim::RunExperiment(market.get(), experiment);
+  EXPECT_EQ(last.payload,
+            eqimpact::serve::RenderExperimentJson(direct, header));
+  EXPECT_EQ(last.digest, eqimpact::sim::ExperimentDigest(direct));
+
+  ASSERT_TRUE(client.SubmitAndWait(
+      R"({"scenario": "credit", "trials": 2, "seed": 7, )"
+      R"("sweep": {"num_users": [150, 200]}})",
+      &last, &error))
+      << error;
+  eqimpact::sim::SweepOptions sweep;
+  sweep.experiment = experiment;
+  sweep.experiment.master_seed = 7;
+  sweep.parameters = {{"num_users", {150, 200}}};
+  const eqimpact::sim::SweepResult swept = eqimpact::sim::RunSweep(
+      eqimpact::sim::GetScenarioFactory("credit"), sweep);
+  eqimpact::serve::RenderHeader sweep_header = header;
+  sweep_header.master_seed = 7;
+  EXPECT_EQ(last.payload,
+            eqimpact::serve::RenderSweepJson(swept, sweep_header));
+  EXPECT_EQ(last.digest, eqimpact::sim::SweepDigest(swept));
+
   // A malformed line gets a typed error and leaves the connection and
   // the server alive for the next request.
   ASSERT_TRUE(client.Send("this is not json"));
@@ -515,8 +575,7 @@ TEST(ServeServer, ServesOverLoopbackByteIdenticallyToTheRenderer) {
 }
 
 TEST(ServeServer, ShutdownDrainsInFlightJobs) {
-  ServerOptions options;
-  options.service = SmallService();
+  ServerOptions options = SmallServer();
   Server server(options);
   ASSERT_TRUE(server.Start());
 
@@ -594,23 +653,10 @@ TEST(ServeLineFramer, OverflowDiscardsAndResyncsAtTheNextNewline) {
   EXPECT_EQ(overflows, 1u);
 }
 
-// --- Transport hardening (both transports) ----------------------------
+// --- Transport limits -------------------------------------------------
 
-/// Value-parameterized over the two transports: the lifecycle limits
-/// (line cap, idle timeout, connection cap) behave identically.
-class ServeTransportTest
-    : public ::testing::TestWithParam<ServerTransport> {
- protected:
-  ServerOptions Options() {
-    ServerOptions options;
-    options.service = SmallService();
-    options.transport = GetParam();
-    return options;
-  }
-};
-
-TEST_P(ServeTransportTest, OversizedLineGetsTypedErrorAndResyncs) {
-  ServerOptions options = Options();
+TEST(ServeTransport, OversizedLineGetsTypedErrorAndResyncs) {
+  ServerOptions options = SmallServer();
   options.limits.max_line_bytes = 256;
   Server server(options);
   ASSERT_TRUE(server.Start());
@@ -632,8 +678,8 @@ TEST_P(ServeTransportTest, OversizedLineGetsTypedErrorAndResyncs) {
   server.Shutdown();
 }
 
-TEST_P(ServeTransportTest, IdleConnectionsAreClosed) {
-  ServerOptions options = Options();
+TEST(ServeTransport, IdleConnectionsAreClosed) {
+  ServerOptions options = SmallServer();
   options.limits.idle_timeout_ms = 150;
   Server server(options);
   ASSERT_TRUE(server.Start());
@@ -648,8 +694,26 @@ TEST_P(ServeTransportTest, IdleConnectionsAreClosed) {
   server.Shutdown();
 }
 
-TEST_P(ServeTransportTest, ConnectionCapRejectsWithTypedError) {
-  ServerOptions options = Options();
+TEST(ServeTransport, LargestIdleTimeoutNeverFires) {
+  // now + INT64_MAX must saturate to "never", not wrap into the past
+  // and reset the connection before its first job is served.
+  ServerOptions options = SmallServer();
+  options.limits.idle_timeout_ms = INT64_MAX;
+  Server server(options);
+  ASSERT_TRUE(server.Start());
+
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+  ClientEvent last;
+  ASSERT_TRUE(client.SubmitAndWait(kSmallCreditJob, &last, &error)) << error;
+  EXPECT_EQ(last.event, "result");
+  EXPECT_EQ(server.transport_stats().idle_closes, 0u);
+  server.Shutdown();
+}
+
+TEST(ServeTransport, ConnectionCapRejectsWithTypedError) {
+  ServerOptions options = SmallServer();
   options.limits.max_connections = 2;
   Server server(options);
   ASSERT_TRUE(server.Start());
@@ -680,46 +744,10 @@ TEST_P(ServeTransportTest, ConnectionCapRejectsWithTypedError) {
   server.Shutdown();
 }
 
-TEST_P(ServeTransportTest, ShutdownDrainsInFlightJobs) {
-  ServerOptions options = Options();
-  Server server(options);
-  ASSERT_TRUE(server.Start());
-
-  Client client;
-  std::string error;
-  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
-  ASSERT_TRUE(client.Send(
-      R"({"scenario": "credit", "trials": 2, "set": {"num_users": 60000}})"));
-  ClientEvent event;
-  ASSERT_TRUE(client.ReadEvent(&event, &error)) << error;
-  ASSERT_EQ(event.event, "accepted");
-
-  std::thread shutdown_thread([&server] { server.Shutdown(); });
-  bool saw_result = false;
-  while (client.ReadEvent(&event, &error)) {
-    if (event.event == "result") {
-      saw_result = true;
-      break;
-    }
-  }
-  shutdown_thread.join();
-  EXPECT_TRUE(saw_result);
-  EXPECT_EQ(server.service().runs_started(), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Transports, ServeTransportTest,
-    ::testing::Values(ServerTransport::kThreads, ServerTransport::kEpoll),
-    [](const ::testing::TestParamInfo<ServerTransport>& info) {
-      return info.param == ServerTransport::kThreads ? "Threads" : "Epoll";
-    });
-
-// --- Epoll transport --------------------------------------------------
+// --- Event loop ---------------------------------------------------------
 
 TEST(ServeEventLoop, SlowReaderHitsBackpressureWithoutCorruption) {
-  ServerOptions options;
-  options.service = SmallService();
-  options.transport = ServerTransport::kEpoll;
+  ServerOptions options = SmallServer();
   // Tiny socket buffer and watermarks so a handful of cached results
   // cross the high watermark while the client refuses to read.
   options.limits.socket_send_buffer = 1;  // Kernel clamps to its floor.
@@ -808,9 +836,7 @@ TEST(ServeEventLoop, SlowReaderHitsBackpressureWithoutCorruption) {
 }
 
 TEST(ServeEventLoop, SixtyFourConnectionPipelinedBurstIsByteIdentical) {
-  ServerOptions options;
-  options.service = SmallService();
-  options.transport = ServerTransport::kEpoll;
+  ServerOptions options = SmallServer();
   Server server(options);
   ASSERT_TRUE(server.Start());
 
@@ -878,41 +904,6 @@ TEST(ServeEventLoop, SixtyFourConnectionPipelinedBurstIsByteIdentical) {
   // 4 distinct engine runs, everything else cache/dedup.
   EXPECT_EQ(server.service().runs_started(), kDistinct);
   server.Shutdown();
-}
-
-TEST(ServeEventLoop, PayloadsMatchTheThreadsTransportByteForByte) {
-  const char* kJobs[] = {
-      kSmallCreditJob,
-      R"({"scenario": "market", "trials": 2, "set": {"exploration": 0.1}})",
-      R"({"scenario": "credit", "trials": 2, "seed": 7, "sweep": {"num_users": [150, 200]}})",
-  };
-  std::vector<std::string> payloads[2];
-  std::vector<uint64_t> digests[2];
-  const ServerTransport transports[] = {ServerTransport::kThreads,
-                                        ServerTransport::kEpoll};
-  for (int t = 0; t < 2; ++t) {
-    ServerOptions options;
-    options.service = SmallService();
-    options.transport = transports[t];
-    Server server(options);
-    ASSERT_TRUE(server.Start());
-    Client client;
-    std::string error;
-    ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
-    for (const char* job : kJobs) {
-      ClientEvent last;
-      ASSERT_TRUE(client.SubmitAndWait(job, &last, &error)) << error;
-      payloads[t].push_back(last.payload);
-      digests[t].push_back(last.digest);
-    }
-    server.Shutdown();
-  }
-  ASSERT_EQ(payloads[0].size(), payloads[1].size());
-  for (size_t i = 0; i < payloads[0].size(); ++i) {
-    EXPECT_EQ(payloads[0][i], payloads[1][i])
-        << "transport changed payload bytes for job " << i;
-    EXPECT_EQ(digests[0][i], digests[1][i]);
-  }
 }
 
 }  // namespace
