@@ -54,7 +54,8 @@
 //    path changes nothing.
 //
 //  * "shard_scaling" — the sharded population engine (PR 7): the
-//    within-trial workload swept over shard counts at one thread, with
+//    within-trial workload swept over shard counts at 1 and
+//    max_threads threads (speedups relative to 1 shard, 1 thread), with
 //    three hard gates feeding the exit code: every sharded digest
 //    equals the unsharded one ("sharded_matches_unsharded"), all shard
 //    counts agree ("deterministic_across_shard_counts"), and a trial
@@ -1542,14 +1543,16 @@ int main(int argc, char** argv) {
   const double within_peak_rss = PeakRssMb();
 
   // --- Section 2b: shard scaling (population sharding). ----------------
-  // The same within-trial workload, one thread, swept over shard counts:
-  // sharding regroups execution (contiguous chunk ranges, shard-order
-  // merge) and must never move a bit. A fourth leg checkpoints the
-  // 4-shard trial mid-run and resumes it 2-sharded; the digest must
-  // still match. Runs before fit_scaling allocates, so the per-shard
+  // The same within-trial workload swept over shard counts x {1, max}
+  // threads: sharding regroups execution (contiguous chunk ranges,
+  // shard-order merge) and must never move a bit, and the threaded legs
+  // show what shards add over plain chunk parallelism. A final leg
+  // checkpoints the 4-shard trial mid-run and resumes it 2-sharded; the
+  // digest must still match. Runs before fit_scaling allocates, so the
   // RSS high-water marks reflect the streaming trial alone.
   struct ShardPoint {
     size_t num_shards = 0;
+    size_t num_threads = 0;
     double seconds = 0.0;
     double items_per_sec = 0.0;
     double speedup = 1.0;
@@ -1565,7 +1568,6 @@ int main(int argc, char** argv) {
     loop_options.num_users = static_cast<size_t>(within_users);
     loop_options.seed = 42;
     loop_options.keep_user_adr = false;
-    loop_options.num_threads = 1;
     const double user_years = static_cast<double>(within_users) *
                               static_cast<double>(within_years);
     // Runs the trial streaming into `adr` (pre-seeded on the resume leg
@@ -1584,25 +1586,31 @@ int main(int argc, char** argv) {
       if (seconds != nullptr) *seconds = SecondsSince(start);
       return Digest(result, *adr);
     };
+    std::vector<size_t> shard_threads{1};
+    if (hw > 1) shard_threads.push_back(hw);
     double shard_sequential = 0.0;
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      loop_options.num_shards = shards;
-      ShardPoint point;
-      point.num_shards = shards;
-      eqimpact::stats::AdrAccumulator adr(eqimpact::credit::kNumRaces,
-                                          within_years, 64);
-      point.digest = run_digest(loop_options, &adr, &point.seconds);
-      point.items_per_sec = user_years / point.seconds;
-      point.peak_rss_mb = PeakRssMb();
-      if (shards == 1) shard_sequential = point.seconds;
-      point.speedup =
-          point.seconds > 0.0 ? shard_sequential / point.seconds : 0.0;
-      shard_runs.push_back(point);
-      std::fprintf(
-          stderr,
-          "  shard_scaling shards=%zu %.3fs (%.0f user-years/s, rss %.1f "
-          "MB)\n",
-          shards, point.seconds, point.items_per_sec, point.peak_rss_mb);
+    for (size_t threads : shard_threads) {
+      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        loop_options.num_threads = threads;
+        loop_options.num_shards = shards;
+        ShardPoint point;
+        point.num_shards = shards;
+        point.num_threads = threads;
+        eqimpact::stats::AdrAccumulator adr(eqimpact::credit::kNumRaces,
+                                            within_years, 64);
+        point.digest = run_digest(loop_options, &adr, &point.seconds);
+        point.items_per_sec = user_years / point.seconds;
+        point.peak_rss_mb = PeakRssMb();
+        if (shards == 1 && threads == 1) shard_sequential = point.seconds;
+        point.speedup =
+            point.seconds > 0.0 ? shard_sequential / point.seconds : 0.0;
+        shard_runs.push_back(point);
+        std::fprintf(stderr,
+                     "  shard_scaling shards=%zu threads=%zu %.3fs (%.0f "
+                     "user-years/s, %.2fx, rss %.1f MB)\n",
+                     shards, threads, point.seconds, point.items_per_sec,
+                     point.speedup, point.peak_rss_mb);
+      }
     }
     for (const ShardPoint& point : shard_runs) {
       if (point.digest != shard_runs.front().digest) {
@@ -1626,6 +1634,7 @@ int main(int argc, char** argv) {
     const size_t capture_year = (within_years + 1) / 2;
     eqimpact::stats::AdrAccumulator ck_adr(eqimpact::credit::kNumRaces,
                                            within_years, 64);
+    loop_options.num_threads = 1;
     loop_options.num_shards = 4;
     loop_options.checkpoint_sink =
         [&mid_blob, &mid_adr_blob, &ck_adr, capture_year](
@@ -1827,7 +1836,6 @@ int main(int argc, char** argv) {
     std::printf("  \"shard_scaling\": {\n");
     std::printf("    \"num_users\": %ld,\n", within_users);
     std::printf("    \"num_years\": %zu,\n", within_years);
-    std::printf("    \"num_threads\": 1,\n");
     std::printf("    \"sharded_matches_unsharded\": %s,\n",
                 shard_matches_unsharded ? "true" : "false");
     std::printf("    \"deterministic_across_shard_counts\": %s,\n",
@@ -1843,11 +1851,11 @@ int main(int argc, char** argv) {
       // monotone across runs by construction (getrusage semantics);
       // flat values across shard counts are the expected good outcome.
       std::printf(
-          "      {\"num_shards\": %zu, \"wall_seconds\": %.6f, "
-          "\"user_years_per_sec\": %.3f, \"speedup\": %.3f, "
-          "\"peak_rss_mb\": %.1f}%s\n",
-          p.num_shards, p.seconds, p.items_per_sec, p.speedup, p.peak_rss_mb,
-          i + 1 < shard_runs.size() ? "," : "");
+          "      {\"num_shards\": %zu, \"num_threads\": %zu, "
+          "\"wall_seconds\": %.6f, \"user_years_per_sec\": %.3f, "
+          "\"speedup\": %.3f, \"peak_rss_mb\": %.1f}%s\n",
+          p.num_shards, p.num_threads, p.seconds, p.items_per_sec, p.speedup,
+          p.peak_rss_mb, i + 1 < shard_runs.size() ? "," : "");
     }
     std::printf("    ]\n");
     std::printf("  },\n");

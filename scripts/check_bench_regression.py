@@ -616,17 +616,23 @@ def main(argv):
             snapshot.get("fold_scaling", {}).get(rate_key),
             warnings,
         )
-    # shard_scaling rates, per shard count (the section pins one thread,
-    # so these stay meaningful on 1-core machines).
+    # shard_scaling rates, per (shard count, thread count). Older
+    # snapshots ran every shard count at one thread and carry no per-run
+    # num_threads.
+    def shard_key(run):
+        return (run.get("num_shards"), run.get("num_threads", 1))
+
     snapshot_shards = {
-        run.get("num_shards"): run.get("user_years_per_sec")
+        shard_key(run): run.get("user_years_per_sec")
         for run in snapshot.get("shard_scaling", {}).get("runs", [])
     }
     for run in fresh.get("shard_scaling", {}).get("runs", []):
+        shards, threads = shard_key(run)
         check_rate(
-            f"shard_scaling user-years/sec ({run.get('num_shards')} shards)",
+            f"shard_scaling user-years/sec ({shards} shards, "
+            f"{threads} threads)",
             run.get("user_years_per_sec"),
-            snapshot_shards.get(run.get("num_shards")),
+            snapshot_shards.get((shards, threads)),
             warnings,
         )
     # Serving throughput: end-to-end jobs/sec through the experiment

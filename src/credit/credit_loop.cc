@@ -47,45 +47,60 @@ std::vector<ml::ScorecardFactor> TableOneTemplates() {
   };
 }
 
-// What one chunk of the scoring sweep yields: per-race offer counts and
-// the approved users' training examples, in user-index order. Merged
-// sequentially in chunk order, so the folded history is identical at
-// every thread count. The examples travel in one of two forms: raw
-// (adr, code) rows + labels for the generic hashed fold, or — on the
-// dense-fold fast path — one packed uint32 per example holding the
-// integer filter counters the ADR is the ratio of:
-//   (offers << 17) | (defaults << 2) | (code << 1) | label
-// (offers <= kMaxDenseYears < 2^15, defaults <= offers), which both
-// shrinks the yield traffic 3x and gives the merge its table index
-// without touching a double.
-struct ChunkYield {
-  std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
-  std::vector<double> rows;      // (adr, income code) pairs, row-major.
-  std::vector<double> labels;    // 1 repaid, 0 default.
-  std::vector<uint32_t> packed;  // Dense-fold form (see above).
-
-  void Clear() {
-    race_offers = {0, 0, 0};
-    rows.clear();
-    labels.clear();
-    packed.clear();
-  }
-};
-
-// Dense-fold packing layout and limits.
-constexpr uint32_t kPackedOffersShift = 17;
-constexpr uint32_t kPackedDefaultsShift = 2;
-constexpr uint32_t kPackedDefaultsMask = 0x7fff;
-constexpr size_t kMaxDenseYears = 32767;  // offers must fit 15 bits.
+// Dense-fold key layout and limits. A key packs the pre-update filter
+// counters and the income code of one example,
+//   (offers << kKeyOffersShift) | (defaults << 1) | code,
+// with defaults <= offers < num_years <= kMaxDenseYears < 2^15. A
+// chunk's count table holds 2 * DenseSlot(num_years, 0, 0) =
+// 2 * Y * (Y + 1) uint32 counts, at most 64 KB for Y <= 90; longer
+// loops take the hashed fold.
+constexpr uint32_t kKeyOffersShift = 16;
+constexpr uint32_t kKeyDefaultsMask = 0x7fff;
+constexpr size_t kMaxDenseYears = 90;
 constexpr uint32_t kNoDenseGroup = 0xffffffffu;
 
-// Index into the dense (offers, defaults, code) -> group table: pairs
-// with defaults <= offers enumerate triangularly, the code is the low
-// bit. offers here is the pre-update counter, <= year index < num_years.
+// Index into the dense (offers, defaults, code) tables: pairs with
+// defaults <= offers enumerate triangularly, the code is the low bit.
 inline size_t DenseSlot(uint32_t offers, uint32_t defaults, uint32_t code) {
   return (static_cast<size_t>(offers) * (offers + 1) / 2 + defaults) * 2 +
          code;
 }
+
+inline size_t DenseSlotOfKey(uint32_t key) {
+  return DenseSlot(key >> kKeyOffersShift, (key >> 1) & kKeyDefaultsMask,
+                   key & 1u);
+}
+
+// What one chunk of the scoring sweep yields: per-race offer counts and
+// the approved users' training examples. Merged sequentially in chunk
+// order, so the folded history is identical at every thread count. The
+// examples travel in one of two forms: raw (adr, code) rows + labels in
+// user-index order for the generic hashed fold, or — on the dense-fold
+// fast path — counts per (key, label) slot plus the chunk's distinct
+// keys in first-occurrence order. The counts are exact integers, so
+// their order does not matter; the key order is what keeps group
+// creation in user order.
+struct ChunkYield {
+  std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
+  std::vector<double> rows;      // (adr, income code) pairs, row-major.
+  std::vector<double> labels;    // 1 repaid, 0 default.
+  std::vector<uint32_t> counts;  // [2 * DenseSlot + label]; dense fold.
+  std::vector<uint32_t> keys;    // Distinct keys; dense fold.
+
+  // Resets the yield for a new year, clearing the count table sparsely
+  // through its key list.
+  void Clear() {
+    race_offers = {0, 0, 0};
+    rows.clear();
+    labels.clear();
+    for (const uint32_t key : keys) {
+      const size_t slot = DenseSlotOfKey(key);
+      counts[2 * slot] = 0;
+      counts[2 * slot + 1] = 0;
+    }
+    keys.clear();
+  }
+};
 
 // Per-chunk scratch of the kernel passes, index-aligned within the
 // chunk. Owned by the chunk like its yield and kept across years, so
@@ -303,35 +318,33 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   history_options.bin_widths = {adr_bin_width, 0.0};
   ml::BinnedDataset history(2, history_options);
   // Dense-fold fast path: under the paper's accumulating filter every
-  // ADR is the exact ratio of two small integer counters, so the
-  // (counters, code) triple indexes a flat per-trial table of history
-  // group ids and the per-row fold becomes one array lookup. Only valid
-  // while the counters are exact integers (forgetting factor 1, exact
-  // ADR grouping) and group ids are never invalidated (accumulated
-  // history — Clear would orphan the cache).
+  // ADR is the exact ratio of two small integer counters, so pass 2
+  // counts each chunk's examples per (counters, code, label) slot and the
+  // fold becomes one AddCounts per distinct key, through a flat
+  // per-trial table of history group ids. Only valid while the counters
+  // are exact integers (forgetting factor 1, exact ADR grouping), group
+  // ids are never invalidated (accumulated history — Clear would orphan
+  // the cache) and the per-chunk count tables stay small (kMaxDenseYears)
+  // and cannot overflow.
   const bool dense_fold =
       options_.dense_history_fold && options_.forgetting_factor == 1.0 &&
       adr_bin_width == 0.0 && options_.accumulate_history &&
-      num_years <= kMaxDenseYears;
+      num_years <= kMaxDenseYears && chunk_size <= UINT32_MAX;
   const size_t dense_slots =
       dense_fold ? DenseSlot(static_cast<uint32_t>(num_years), 0, 0) : 0;
-  std::vector<uint32_t> dense_groups;
-  if (dense_fold && num_shards == 1) {
-    dense_groups.assign(dense_slots, kNoDenseGroup);
-  }
-  // Sharded history staging: each shard folds its own chunks' yields
-  // into a per-shard dataset (with a per-shard dense table mapping
-  // counters to *local* group ids), re-assigned every year; the global
-  // history then absorbs the staged datasets in shard order. Group
-  // creation order is preserved — a group's global first occurrence
-  // lives in the first shard containing it, at that shard's local first
-  // occurrence — and every folded weight is an exact integer-valued
-  // double, so the merged history is bitwise the unsharded fold.
+  std::vector<uint32_t> dense_groups(dense_slots, kNoDenseGroup);
+  // Sharded hashed-fold staging: each shard folds its own chunks' rows
+  // into a per-shard dataset, re-assigned every year; the global history
+  // then absorbs the staged datasets in shard order. Group creation order
+  // is preserved — a group's global first occurrence lives in the first
+  // shard containing it, at that shard's local first occurrence — and
+  // every folded weight is an exact integer-valued double, so the merged
+  // history is bitwise the unsharded fold. The dense fold needs no
+  // staging: its serial merge is O(distinct keys) and already walks
+  // chunks in global order.
   std::vector<ml::BinnedDataset> shard_history;
-  std::vector<std::vector<uint32_t>> shard_dense;
-  if (num_shards > 1) {
+  if (num_shards > 1 && !dense_fold) {
     shard_history.assign(num_shards, ml::BinnedDataset(2, history_options));
-    if (dense_fold) shard_dense.assign(num_shards, std::vector<uint32_t>());
   }
   if (resume) {
     EQIMPACT_CHECK(history.Deserialize(&*resume));
@@ -376,7 +389,10 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   std::vector<double> uniforms(num_users);
   std::vector<ChunkYield> yields(num_chunks);
   std::vector<ChunkScratch> scratches(num_chunks);
-  std::vector<double> adr_snapshot;
+  // The year's ADR cross-section, written chunk by chunk at the end of
+  // pass 2 (a chunk's users are final once its body has run).
+  const bool want_snapshot = options_.keep_user_adr || observer;
+  std::vector<double> adr_snapshot(want_snapshot ? num_users : 0);
   const std::vector<double>& incomes = population.incomes();
 
   if (resume) {
@@ -541,6 +557,9 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
       ChunkYield& yield = yields[c];
       ChunkScratch& scratch = scratches[c];
       yield.Clear();
+      if (dense_fold && yield.counts.empty()) {
+        yield.counts.assign(2 * dense_slots, 0);
+      }
       const size_t count = end - begin;
       scratch.adr.resize(count);
       scratch.code.resize(count);
@@ -581,17 +600,21 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         const double p = scratch.probability[t];
         const bool repaid = p > 0.0 && uniforms[i] < p;
         if (dense_fold) {
-          // Pack the pre-update integer counters whose guarded
-          // ratio is exactly scratch.adr[j]; the merge rebuilds the
-          // row from them on a first occurrence.
+          // Count the example under the pre-update integer counters
+          // whose guarded ratio is exactly scratch.adr[j]; the merge
+          // rebuilds the row from them on a first occurrence.
           const uint32_t offers =
               static_cast<uint32_t>(filter.UserOfferWeight(i));
           const uint32_t defaults =
               static_cast<uint32_t>(filter.UserDefaultWeight(i));
           const uint32_t code_bit = scratch.code[j] != 0.0 ? 1u : 0u;
-          yield.packed.push_back((offers << kPackedOffersShift) |
-                                 (defaults << kPackedDefaultsShift) |
-                                 (code_bit << 1) | (repaid ? 1u : 0u));
+          uint32_t* cell =
+              &yield.counts[2 * DenseSlot(offers, defaults, code_bit)];
+          if (cell[0] == 0 && cell[1] == 0) {
+            yield.keys.push_back((offers << kKeyOffersShift) |
+                                 (defaults << 1) | code_bit);
+          }
+          ++cell[repaid ? 1 : 0];
         } else {
           yield.rows.push_back(scratch.adr[j]);
           yield.rows.push_back(scratch.code[j]);
@@ -600,14 +623,15 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         filter.Update(i, true, repaid);
         ++yield.race_offers[race_ids[i]];
       }
+      if (want_snapshot) filter.AdrInto(begin, end, &adr_snapshot[begin]);
     });
 
     // Merge the chunk yields in chunk (= user) order, weight-folding this
     // year's observations into the grouped history. The fold order is the
     // trial order (chunk 0, 1, ...), so group indices — and with them the
     // fit's accumulation order — are identical at every thread count.
-    // Sharded runs fold shard-locally in parallel first and merge the
-    // staged datasets in shard order, which traverses the same chunk
+    // Sharded hashed runs fold shard-locally in parallel first and merge
+    // the staged datasets in shard order, which traverses the same chunk
     // sequence (see shard_history above).
     std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
     for (const ChunkYield& yield : yields) {
@@ -615,73 +639,60 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         race_offers[r] += yield.race_offers[r];
       }
     }
-    // Zero-hash dense fold: one table lookup per example. A first
-    // occurrence rebuilds the (adr, code) row from the packed
-    // counters — the division is the same IEEE operation AdrInto's
-    // guarded ratio performed, so the row bits match the hashed
-    // fold's — and goes through AddRow, which groups by bit pattern;
-    // value-aliasing counter pairs (1/2 and 2/4) therefore cache the
-    // same group id, and group creation order stays the fold order.
-    const auto fold_packed = [](ml::BinnedDataset& target,
-                                std::vector<uint32_t>& table,
-                                const ChunkYield& yield) {
-      for (const uint32_t packed : yield.packed) {
-        const uint32_t offers = packed >> kPackedOffersShift;
-        const uint32_t defaults =
-            (packed >> kPackedDefaultsShift) & kPackedDefaultsMask;
-        const uint32_t code_bit = (packed >> 1) & 1u;
-        const double label = (packed & 1u) ? 1.0 : 0.0;
-        const size_t slot = DenseSlot(offers, defaults, code_bit);
-        const uint32_t cached = table[slot];
-        if (cached != kNoDenseGroup) {
-          target.AddRowToGroup(cached, label);
-        } else {
-          const double row[2] = {
-              offers == 0 ? 0.0
-                          : static_cast<double>(defaults) /
-                                static_cast<double>(offers),
-              code_bit ? 1.0 : 0.0};
-          table[slot] = static_cast<uint32_t>(target.AddRow(row, label));
+    if (!options_.accumulate_history) history.Clear();
+    if (dense_fold) {
+      // Zero-hash dense fold: one AddCounts per distinct key of each
+      // chunk. A key's first sight in the trial rebuilds the (adr, code)
+      // row from the counters — the division is the same IEEE operation
+      // AdrInto's guarded ratio performed, so the row bits match the
+      // hashed fold's — and goes through AddRow, which groups by bit
+      // pattern; value-aliasing counter pairs (1/2 and 2/4) therefore
+      // cache the same group id, and group creation order stays the
+      // user order. Weights are exact integers, so folding a chunk's
+      // counts at once is bitwise the per-example fold.
+      for (const ChunkYield& yield : yields) {
+        for (const uint32_t key : yield.keys) {
+          const size_t slot = DenseSlotOfKey(key);
+          uint64_t negatives = yield.counts[2 * slot];
+          uint64_t positives = yield.counts[2 * slot + 1];
+          uint32_t& group = dense_groups[slot];
+          if (group == kNoDenseGroup) {
+            const uint32_t offers = key >> kKeyOffersShift;
+            const uint32_t defaults = (key >> 1) & kKeyDefaultsMask;
+            const double row[2] = {
+                offers == 0 ? 0.0
+                            : static_cast<double>(defaults) /
+                                  static_cast<double>(offers),
+                (key & 1u) ? 1.0 : 0.0};
+            // AddRow folds one of the slot's examples; AddCounts the rest.
+            const bool positive = positives > 0;
+            const double label = positive ? 1.0 : 0.0;
+            group = static_cast<uint32_t>(history.AddRow(row, label));
+            (positive ? positives : negatives) -= 1;
+          }
+          history.AddCounts(group, negatives, positives);
         }
       }
-    };
-    if (num_shards > 1) {
+    } else if (num_shards > 1) {
       runtime::ParallelFor(
           num_shards,
           [&](size_t s) {
             const runtime::ShardRange& shard = plan.shards[s];
             ml::BinnedDataset& staged = shard_history[s];
             staged.Clear();
-            if (dense_fold) {
-              std::vector<uint32_t>& table = shard_dense[s];
-              table.assign(dense_slots, kNoDenseGroup);
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                fold_packed(staged, table, yields[c]);
-              }
-            } else {
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                staged.AddBatch(yields[c].rows.data(),
-                                yields[c].labels.data(),
-                                yields[c].labels.size());
-              }
+            for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
+              staged.AddBatch(yields[c].rows.data(), yields[c].labels.data(),
+                              yields[c].labels.size());
             }
           },
           dispatch);
-      if (!options_.accumulate_history) history.Clear();
       for (size_t s = 0; s < num_shards; ++s) {
         history.Merge(shard_history[s]);
       }
     } else {
-      if (!options_.accumulate_history) history.Clear();
-      if (dense_fold) {
-        for (const ChunkYield& yield : yields) {
-          fold_packed(history, dense_groups, yield);
-        }
-      } else {
-        for (const ChunkYield& yield : yields) {
-          history.AddBatch(yield.rows.data(), yield.labels.data(),
-                           yield.labels.size());
-        }
+      for (const ChunkYield& yield : yields) {
+        history.AddBatch(yield.rows.data(), yield.labels.data(),
+                         yield.labels.size());
       }
     }
 
@@ -697,17 +708,14 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     }
     result.overall_adr.push_back(summary.overall_adr);
 
-    if (options_.keep_user_adr || observer) {
-      filter.SnapshotInto(&adr_snapshot);
-      if (options_.keep_user_adr) {
-        for (size_t i = 0; i < num_users; ++i) {
-          result.user_adr[i].push_back(adr_snapshot[i]);
-        }
+    if (options_.keep_user_adr) {
+      for (size_t i = 0; i < num_users; ++i) {
+        result.user_adr[i].push_back(adr_snapshot[i]);
       }
-      if (observer) {
-        observer(
-            YearSnapshot{k, year, adr_snapshot, result.races, race_ids});
-      }
+    }
+    if (observer) {
+      observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
+                            dispatch.pool});
     }
 
     if (options_.checkpoint_sink) write_checkpoint(k + 1);

@@ -54,19 +54,24 @@ struct CreditLoopOptions {
   /// the scorecard's resolution). 0 forces exact grouping; a positive
   /// width forces that bin width. The income code is always exact.
   double history_adr_bin_width = -1.0;
-  /// Fold each year's observations into the grouped history through a
-  /// dense per-trial (offers, defaults, income code) -> group table —
-  /// an array lookup per row — instead of the generic
-  /// quantize+hash+probe path. Output is bitwise-identical (pinned by
-  /// CreditLoopTest.DenseHistoryFoldMatchesHashedFold): the table keys
-  /// on the exact integer filter counters whose guarded ratio IS the
-  /// ADR feature, first occurrences still go through
-  /// BinnedDataset::AddRow so value-aliasing rationals (1/2 vs 2/4)
-  /// share a group exactly as before, and the fold order is unchanged.
-  /// The engine applies it only when the counters are exact — the
-  /// accumulating filter (forgetting_factor == 1) with exact ADR
-  /// grouping and an accumulated history — and falls back to the
-  /// hashed fold otherwise. Off = always use the hashed fold.
+  /// Fold each year's observations into the grouped history from
+  /// chunk-local counts: the scoring sweep counts each chunk's examples
+  /// per (offers, defaults, income code, label) slot, and the serial
+  /// merge folds each distinct slot once through a dense per-trial
+  /// slot -> group table instead of quantizing, hashing and probing
+  /// every row. Output is bitwise-identical (pinned by
+  /// CreditLoopTest.DenseHistoryFoldMatchesHashedFold and its
+  /// multi-chunk variant): the slots key on the exact integer filter
+  /// counters whose guarded ratio IS the ADR feature, the merge walks
+  /// chunks in order and each chunk's slots in first-occurrence order,
+  /// first sights still go through BinnedDataset::AddRow so
+  /// value-aliasing rationals (1/2 vs 2/4) share a group exactly as
+  /// before, and all weights are exact integers. The engine applies it
+  /// only when the counters are exact — the accumulating filter
+  /// (forgetting_factor == 1) with exact ADR grouping and an
+  /// accumulated history — and the loop spans at most 90 years (each
+  /// chunk's count table then stays within 64 KB); otherwise it falls
+  /// back to the hashed fold. Off = always use the hashed fold.
   bool dense_history_fold = true;
   /// Behavioural model parameters (equations (10)-(11)).
   RepaymentModelOptions repayment;
@@ -110,10 +115,11 @@ struct CreditLoopOptions {
 
   /// Population shards for the within-trial passes. Each shard owns a
   /// contiguous range of whole chunks (see runtime::MakeShardPlan) and
-  /// runs its own two-pass sweep plus its own staged history fold, with
-  /// per-shard results merged in shard order — which visits chunks in
-  /// exactly the global chunk order, so every coefficient, series and
-  /// digest is bitwise-identical to the unsharded run at any
+  /// runs its own two-pass sweep (plus, on the hashed fold, its own
+  /// staged history fold), with per-shard results merged in shard
+  /// order — which visits chunks in exactly the global chunk order, so
+  /// every coefficient, series and digest is bitwise-identical to the
+  /// unsharded run at any
   /// (num_shards, users_per_chunk, num_threads) configuration. 0 and 1
   /// both mean unsharded; values above the chunk count are clamped.
   /// Like num_threads (and unlike users_per_chunk), this knob never
@@ -181,6 +187,11 @@ struct YearSnapshot {
   /// dense ids (for group-indexed consumers like stats::AdrAccumulator).
   const std::vector<Race>& races;
   const std::vector<uint8_t>& race_ids;
+  /// The loop's within-trial pool, or null when the loop runs inline.
+  /// Idle for the duration of the callback, so the observer may dispatch
+  /// its own reduction on it (e.g. stats::AdrAccumulator's block-parallel
+  /// cross-section). Never part of the simulated output.
+  runtime::ThreadPool* pool = nullptr;
 };
 
 /// Streaming consumer of per-year cross-sections — the memory-bounded

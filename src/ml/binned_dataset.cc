@@ -131,17 +131,16 @@ size_t BinnedDataset::AddRow(const double* features, double label,
   return g;
 }
 
-void BinnedDataset::AddRowToGroup(size_t g, double label, double weight) {
-  EQIMPACT_CHECK(label == 0.0 || label == 1.0);
-  EQIMPACT_CHECK_GT(weight, 0.0);
+void BinnedDataset::AddCounts(size_t g, uint64_t negatives,
+                              uint64_t positives) {
   EQIMPACT_CHECK_LT(g, num_groups());
-  weight_[g] += weight;
-  total_weight_ += weight;
-  if (label == 1.0) {
-    positive_[g] += weight;
-    total_positive_ += weight;
-  }
-  ++num_rows_absorbed_;
+  const double total = static_cast<double>(negatives + positives);
+  const double positive = static_cast<double>(positives);
+  weight_[g] += total;
+  total_weight_ += total;
+  positive_[g] += positive;
+  total_positive_ += positive;
+  num_rows_absorbed_ += negatives + positives;
 }
 
 void BinnedDataset::Add(const linalg::Vector& features, double label,

@@ -51,15 +51,18 @@ class BinnedDataset {
   /// Folds one observation with the given weight into its group and
   /// returns the group index (stable for the dataset's lifetime until
   /// Clear, so callers may cache it and fold repeats of the same row
-  /// through AddRowToGroup without re-keying).
+  /// through AddCounts without re-keying).
   /// CHECK-fails unless label is 0 or 1 and weight > 0.
   size_t AddRow(const double* features, double label, double weight = 1.0);
 
-  /// Folds one observation into an existing group `g` (an index returned
-  /// by AddRow since the last Clear), skipping the quantize-hash-probe
-  /// path entirely — the credit loop's dense-index fast path.
-  /// CHECK-fails on an out-of-range group.
-  void AddRowToGroup(size_t g, double label, double weight = 1.0);
+  /// Folds `negatives` label-0 and `positives` label-1 unit-weight
+  /// observations into an existing group `g` (an index returned by
+  /// AddRow since the last Clear), skipping the quantize-hash-probe path
+  /// entirely — the credit loop's dense-count fast path. While every
+  /// weight stays an integer below 2^53 this is bitwise the same as that
+  /// many unit AddRow calls on the group's row, including
+  /// num_rows_absorbed(). CHECK-fails on an out-of-range group.
+  void AddCounts(size_t g, uint64_t negatives, uint64_t positives);
 
   /// AddRow from a Vector (checked dimension; convenience, not hot path).
   void Add(const linalg::Vector& features, double label, double weight = 1.0);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "credit/race.h"
+#include "runtime/parallel_for.h"
 #include "sim/text_table.h"
 
 namespace eqimpact {
@@ -100,10 +101,27 @@ TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
   loop_options.checkpoint_sink = context.checkpoint_sink;
   loop_options.resume_state = context.resume_state;
   credit::CreditScoringLoop loop(loop_options);
+  // The impact observer reduces each year's cross-section block-parallel
+  // on the loop's own (then idle) pool: the same fixed blocks, merged in
+  // the same order, as the serial AddCrossSection.
+  std::vector<stats::CrossSectionBlock> blocks;
   credit::CreditLoopResult record =
-      loop.Run([impacts](const credit::YearSnapshot& snapshot) {
-        impacts->AddCrossSection(snapshot.step, snapshot.user_adr,
-                                 snapshot.race_ids);
+      loop.Run([impacts, &blocks](const credit::YearSnapshot& snapshot) {
+        const std::vector<double>& values = snapshot.user_adr;
+        const std::vector<uint8_t>& groups = snapshot.race_ids;
+        const size_t n = values.size();
+        blocks.resize(runtime::NumChunks(n, stats::kCrossSectionBlockSize));
+        runtime::ParallelForOptions dispatch;
+        dispatch.num_threads = 1;
+        dispatch.pool = snapshot.pool;
+        runtime::ParallelForChunks(
+            n, stats::kCrossSectionBlockSize,
+            [&](size_t b, size_t begin, size_t end) {
+              impacts->ReduceCrossSectionBlock(&values[begin], &groups[begin],
+                                               end - begin, &blocks[b]);
+            },
+            dispatch);
+        impacts->AddCrossSectionBlocks(snapshot.step, blocks);
       });
 
   TrialOutcome outcome;

@@ -47,13 +47,45 @@ void AdrAccumulator::AddCrossSection(size_t k,
                                      const std::vector<uint8_t>& groups) {
   EQIMPACT_CHECK_EQ(values.size(), groups.size());
   EQIMPACT_CHECK_LT(k, num_steps_);
+  std::vector<CrossSectionBlock> blocks(1);
+  for (size_t begin = 0; begin < values.size();
+       begin += kCrossSectionBlockSize) {
+    const size_t count =
+        std::min(kCrossSectionBlockSize, values.size() - begin);
+    ReduceCrossSectionBlock(&values[begin], &groups[begin], count, &blocks[0]);
+    AddCrossSectionBlocks(k, blocks);
+  }
+}
+
+void AdrAccumulator::ReduceCrossSectionBlock(const double* values,
+                                             const uint8_t* groups,
+                                             size_t count,
+                                             CrossSectionBlock* block) const {
+  EQIMPACT_CHECK_LE(count, kCrossSectionBlockSize);
+  block->stats.assign(num_groups_, RunningStats());
+  block->bins.assign(num_groups_ * num_bins_, 0);
+  for (size_t i = 0; i < count; ++i) {
+    const size_t g = groups[i];
+    EQIMPACT_CHECK_LT(g, num_groups_);
+    block->stats[g].Add(values[i]);
+    ++block->bins[g * num_bins_ + BinIndex(values[i])];
+  }
+}
+
+void AdrAccumulator::AddCrossSectionBlocks(
+    size_t k, const std::vector<CrossSectionBlock>& blocks) {
+  EQIMPACT_CHECK_LT(k, num_steps_);
   RunningStats* step_stats = &stats_[k * num_groups_];
   int64_t* step_bins = &bin_counts_[k * num_groups_ * num_bins_];
-  for (size_t i = 0; i < values.size(); ++i) {
-    size_t g = groups[i];
-    EQIMPACT_CHECK_LT(g, num_groups_);
-    step_stats[g].Add(values[i]);
-    ++step_bins[g * num_bins_ + BinIndex(values[i])];
+  for (const CrossSectionBlock& block : blocks) {
+    EQIMPACT_CHECK_EQ(block.stats.size(), num_groups_);
+    EQIMPACT_CHECK_EQ(block.bins.size(), num_groups_ * num_bins_);
+    for (size_t g = 0; g < num_groups_; ++g) {
+      step_stats[g].Merge(block.stats[g]);
+    }
+    for (size_t b = 0; b < block.bins.size(); ++b) {
+      step_bins[b] += block.bins[b];
+    }
   }
 }
 

@@ -12,6 +12,18 @@
 namespace eqimpact {
 namespace stats {
 
+/// Values per block of AddCrossSection's fixed-block reduction. A
+/// constant of the stats layer, never an option: the block boundaries
+/// fix the merge order, and with it the bits of every moment.
+inline constexpr size_t kCrossSectionBlockSize = 4096;
+
+/// One block's partial reduction of a cross-section: per-group Welford
+/// moments (indexed by group) and bin counts (group * num_bins + bin).
+struct CrossSectionBlock {
+  std::vector<RunningStats> stats;
+  std::vector<int64_t> bins;
+};
+
 /// Streaming aggregate of a bundle of bounded per-step series, grouped
 /// by a small categorical attribute. The group axis is scenario-defined
 /// (dense ids 0..num_groups-1 with labels owned by the producer): the
@@ -59,8 +71,28 @@ class AdrAccumulator {
 
   /// Accumulates a full cross-section at step `k`: values[i] belongs to
   /// group groups[i]. CHECK-fails on length mismatch.
+  ///
+  /// A fixed-block reduction: each kCrossSectionBlockSize-value block is
+  /// reduced on its own (ReduceCrossSectionBlock) and the blocks merge
+  /// into the step's cells in block order (AddCrossSectionBlocks). A
+  /// caller with a thread pool may reduce the blocks concurrently
+  /// through those two halves and gets the same bits. A cross-section of
+  /// at most one block added to an empty step is bitwise the per-value
+  /// Add loop.
   void AddCrossSection(size_t k, const std::vector<double>& values,
                        const std::vector<uint8_t>& groups);
+
+  /// Reduces one block — `count` <= kCrossSectionBlockSize values, with
+  /// values[i] in group groups[i] — into `*block`, overwriting it. Reads
+  /// only this accumulator's shape, so distinct blocks may be reduced
+  /// concurrently. CHECK-fails on an oversized block or a bad group.
+  void ReduceCrossSectionBlock(const double* values, const uint8_t* groups,
+                               size_t count, CrossSectionBlock* block) const;
+
+  /// Merges `blocks` (reduced by ReduceCrossSectionBlock, in block
+  /// order) into step `k`.
+  void AddCrossSectionBlocks(size_t k,
+                             const std::vector<CrossSectionBlock>& blocks);
 
   /// Merges `other` into this accumulator. CHECK-fails unless the shapes
   /// (groups, steps, bins, range) match. Merge order affects the

@@ -830,31 +830,34 @@ TEST(BinnedDatasetTest, CollidingKeysStayDistinct) {
   }
 }
 
-TEST(BinnedDatasetTest, AddRowToGroupMatchesKeyedAddRow) {
+TEST(BinnedDatasetTest, AddCountsMatchesUnitAddRows) {
   // The index AddRow returns stays valid until Clear, and folding
-  // through it is exactly the keyed fold.
+  // counted unit rows through it is bitwise the per-row keyed fold —
+  // serialized state (weights, totals, rows absorbed) included.
   ml::BinnedDataset keyed(2);
-  ml::BinnedDataset cached(2);
-  std::vector<size_t> group_of;
+  ml::BinnedDataset counted(2);
+  std::vector<uint64_t> negatives(8, 0), positives(8, 0);
   rng::Random random(99);
-  for (int i = 0; i < 64; ++i) {
-    const double row[2] = {static_cast<double>(i % 8), 1.0};
-    const double label = random.Bernoulli(0.4) ? 1.0 : 0.0;
-    const double weight = 1.0 + (i % 3);
-    keyed.AddRow(row, label, weight);
+  for (int i = 0; i < 200; ++i) {
+    const double row[2] = {static_cast<double>(i % 8) / 7.0, 1.0};
+    const bool label = random.Bernoulli(0.4);
+    keyed.AddRow(row, label ? 1.0 : 0.0);
     if (i < 8) {
-      group_of.push_back(cached.AddRow(row, label, weight));
-      EXPECT_EQ(group_of.back(), static_cast<size_t>(i));
+      EXPECT_EQ(counted.AddRow(row, label ? 1.0 : 0.0), static_cast<size_t>(i));
     } else {
-      cached.AddRowToGroup(group_of[i % 8], label, weight);
+      ++(label ? positives : negatives)[i % 8];
     }
   }
-  ASSERT_EQ(keyed.num_groups(), cached.num_groups());
-  EXPECT_DOUBLE_EQ(keyed.total_weight(), cached.total_weight());
-  for (size_t g = 0; g < keyed.num_groups(); ++g) {
-    EXPECT_DOUBLE_EQ(keyed.weight(g), cached.weight(g));
-    EXPECT_DOUBLE_EQ(keyed.positive_weight(g), cached.positive_weight(g));
+  for (size_t g = 0; g < 8; ++g) {
+    counted.AddCounts(g, negatives[g], positives[g]);
   }
+  counted.AddCounts(3, 0, 0);  // An empty fold changes nothing.
+  EXPECT_EQ(counted.num_rows_absorbed(), 200u);
+  base::BinaryWriter keyed_bytes;
+  base::BinaryWriter counted_bytes;
+  keyed.Serialize(&keyed_bytes);
+  counted.Serialize(&counted_bytes);
+  EXPECT_EQ(keyed_bytes.buffer(), counted_bytes.buffer());
 }
 
 // --- Dense refit fold vs hashed fold (PR 6). -------------------------------
@@ -907,6 +910,93 @@ TEST(CreditLoopTest, DenseHistoryFoldMatchesHashedFold) {
                 0)
           << "seed=" << seed << " snapshot=" << s;
     }
+  }
+}
+
+// One run of the loop with every checkpoint blob it sinks.
+struct FoldRun {
+  credit::CreditLoopResult result;
+  std::vector<std::vector<uint8_t>> blobs;
+};
+
+FoldRun RunWithBlobs(credit::CreditLoopOptions options) {
+  FoldRun run;
+  options.checkpoint_sink = [&run](size_t, const std::vector<uint8_t>& blob) {
+    run.blobs.push_back(blob);
+  };
+  run.result = credit::CreditScoringLoop(options).Run();
+  return run;
+}
+
+// Scorecards, ADR series and checkpoint blobs all bitwise equal.
+void ExpectSameFold(const FoldRun& expected, const FoldRun& actual) {
+  EXPECT_TRUE(SeriesBitwiseEqual(expected.result.overall_adr,
+                                 actual.result.overall_adr));
+  ASSERT_EQ(expected.result.race_adr.size(), actual.result.race_adr.size());
+  for (size_t r = 0; r < expected.result.race_adr.size(); ++r) {
+    EXPECT_TRUE(SeriesBitwiseEqual(expected.result.race_adr[r],
+                                   actual.result.race_adr[r]));
+    EXPECT_TRUE(SeriesBitwiseEqual(expected.result.race_approval[r],
+                                   actual.result.race_approval[r]));
+  }
+  ASSERT_EQ(expected.result.scorecards.size(), actual.result.scorecards.size());
+  for (size_t s = 0; s < expected.result.scorecards.size(); ++s) {
+    const credit::ScorecardSnapshot& a = expected.result.scorecards[s];
+    const credit::ScorecardSnapshot& b = actual.result.scorecards[s];
+    EXPECT_EQ(a.year, b.year);
+    EXPECT_EQ(std::memcmp(&a.history_weight, &b.history_weight, 8), 0);
+    EXPECT_EQ(std::memcmp(&a.income_weight, &b.income_weight, 8), 0);
+    EXPECT_EQ(std::memcmp(&a.intercept, &b.intercept, 8), 0);
+  }
+  ASSERT_EQ(expected.blobs.size(), actual.blobs.size());
+  for (size_t y = 0; y < expected.blobs.size(); ++y) {
+    EXPECT_EQ(expected.blobs[y], actual.blobs[y]) << "blob " << y;
+  }
+}
+
+TEST(CreditLoopTest, DenseFoldMergesChunksLikeHashedFold) {
+  // 777 users in 64-user chunks: thirteen chunks whose count tables and
+  // key lists the dense fold merges in chunk order. The hashed fold at
+  // one thread and one shard is the reference for every configuration.
+  // dense_history_fold is outside the options fingerprint, so the
+  // checkpoint blobs are comparable byte for byte.
+  credit::CreditLoopOptions options;
+  options.num_users = 777;
+  options.users_per_chunk = 64;
+  options.seed = 31;
+  options.keep_user_adr = true;
+  options.dense_history_fold = false;
+  const FoldRun hashed = RunWithBlobs(options);
+  ASSERT_EQ(hashed.blobs.size(), 19u);
+  options.dense_history_fold = true;
+  for (size_t threads : {1, 4}) {
+    for (size_t shards : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " shards=" << shards);
+      options.num_threads = threads;
+      options.num_shards = shards;
+      const FoldRun dense = RunWithBlobs(options);
+      ExpectSameFold(hashed, dense);
+      EXPECT_EQ(hashed.result.user_adr, dense.result.user_adr);
+    }
+  }
+}
+
+TEST(CreditLoopTest, DenseFoldMatchesHashedFoldAtAndBeyondItsYearBound) {
+  // 90 years is the longest loop whose per-chunk count tables fit in
+  // 64 KB, so it runs the dense fold at its largest table; 120 years
+  // takes the hashed-fold gate. Both must match the hashed fold.
+  for (int num_years : {90, 120}) {
+    SCOPED_TRACE(::testing::Message() << "years=" << num_years);
+    credit::CreditLoopOptions options;
+    options.num_users = 300;
+    options.seed = 4;
+    options.last_year = options.first_year + num_years - 1;
+    options.keep_user_adr = false;
+    options.dense_history_fold = false;
+    const FoldRun hashed = RunWithBlobs(options);
+    options.dense_history_fold = true;
+    ExpectSameFold(hashed, RunWithBlobs(options));
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/serial.h"
 #include "credit/credit_loop.h"
 #include "credit/race.h"
 #include "runtime/parallel_for.h"
@@ -116,6 +117,47 @@ TEST(CreditScenarioTest, WrapperMatchesLegacyImplementationBitwise) {
               wrapped.race_envelopes[r].std_dev);
   }
   ExpectAccumulatorsBitwiseEqual(legacy.pooled_adr, wrapped.pooled_adr);
+}
+
+TEST(CreditScenarioTest, BlockParallelObserverMatchesSerialObserver) {
+  // 20,000 users span five cross-section blocks, so the trial's
+  // observer really reduces blocks on the loop's pool and merges them.
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 20000;
+  sim::ExperimentOptions options;
+  options.num_trials = 1;
+  options.master_seed = 9;
+  sim::ExperimentResult results[2];
+  const size_t thread_counts[2] = {1, 4};
+  for (size_t i = 0; i < 2; ++i) {
+    sim::CreditScenario scenario(scenario_options);
+    options.trial_threads = thread_counts[i];
+    results[i] = sim::RunExperiment(&scenario, options);
+  }
+  EXPECT_EQ(sim::ExperimentDigest(results[0]),
+            sim::ExperimentDigest(results[1]));
+
+  // The serial AddCrossSection observer on the same trial (the loop
+  // options RunTrial builds for trial 0) yields the same accumulator.
+  const sim::CreditScenario scenario(scenario_options);
+  credit::CreditLoopOptions loop_options = scenario_options.loop;
+  loop_options.seed = runtime::SeedSequence(options.master_seed).Seed(0);
+  loop_options.keep_user_adr = scenario_options.keep_raw_series;
+  stats::AdrAccumulator serial(credit::kNumRaces, scenario.StepLabels().size(),
+                               options.impact_bins, scenario.impact_lo(),
+                               scenario.impact_hi());
+  const credit::CreditScoringLoop loop(loop_options);
+  loop.Run([&serial](const credit::YearSnapshot& snapshot) {
+    serial.AddCrossSection(snapshot.step, snapshot.user_adr,
+                           snapshot.race_ids);
+  });
+  for (const sim::ExperimentResult& result : results) {
+    base::BinaryWriter expected;
+    base::BinaryWriter actual;
+    serial.Serialize(&expected);
+    result.pooled_impact.Serialize(&actual);
+    EXPECT_EQ(expected.buffer(), actual.buffer());
+  }
 }
 
 TEST(CreditScenarioTest, SurfacesGroupLabels) {

@@ -310,6 +310,64 @@ TEST(AdrAccumulatorTest, CrossSectionRoutesByGroup) {
   EXPECT_DOUBLE_EQ(acc.stats(0, 2).Mean(), 0.9);
 }
 
+// Serialized bytes of an accumulator: equal bytes = equal bits in every
+// moment and bin.
+std::vector<uint8_t> AccumulatorBytes(const stats::AdrAccumulator& acc) {
+  base::BinaryWriter writer;
+  acc.Serialize(&writer);
+  return writer.TakeBuffer();
+}
+
+// A cross-section of `n` values over three groups, some outside [0, 1].
+void MakeCrossSection(size_t n, uint64_t seed, std::vector<double>* values,
+                      std::vector<uint8_t>* groups) {
+  rng::Random random(seed);
+  values->clear();
+  groups->clear();
+  for (size_t i = 0; i < n; ++i) {
+    values->push_back(1.2 * random.UniformDouble() - 0.1);
+    groups->push_back(static_cast<uint8_t>(random.UniformDouble() * 3.0));
+  }
+}
+
+TEST(AdrAccumulatorTest, BlocksReducedInAnyOrderMatchAddCrossSection) {
+  // Three full blocks and a partial one: the blocks are reduced back to
+  // front (as concurrent workers might), then added in block order.
+  const size_t n = 3 * stats::kCrossSectionBlockSize + 123;
+  std::vector<double> values;
+  std::vector<uint8_t> groups;
+  MakeCrossSection(n, 21, &values, &groups);
+  stats::AdrAccumulator serial(3, 2, 16);
+  stats::AdrAccumulator blocked(3, 2, 16);
+  serial.AddCrossSection(1, values, groups);
+  const size_t num_blocks = 4;
+  std::vector<stats::CrossSectionBlock> blocks(num_blocks);
+  for (size_t b = num_blocks; b-- > 0;) {
+    const size_t begin = b * stats::kCrossSectionBlockSize;
+    const size_t count = std::min(stats::kCrossSectionBlockSize, n - begin);
+    blocked.ReduceCrossSectionBlock(&values[begin], &groups[begin], count,
+                                    &blocks[b]);
+  }
+  blocked.AddCrossSectionBlocks(1, blocks);
+  EXPECT_EQ(AccumulatorBytes(serial), AccumulatorBytes(blocked));
+  EXPECT_EQ(serial.StepCount(1), static_cast<int64_t>(n));
+}
+
+TEST(AdrAccumulatorTest, OneBlockCrossSectionMatchesPerValueAdds) {
+  // A cross-section of exactly one block, added to an empty step, is one
+  // block merged into empty cells: bitwise the per-value Add loop.
+  std::vector<double> values;
+  std::vector<uint8_t> groups;
+  MakeCrossSection(stats::kCrossSectionBlockSize, 22, &values, &groups);
+  stats::AdrAccumulator crossed(3, 1, 16);
+  stats::AdrAccumulator added(3, 1, 16);
+  crossed.AddCrossSection(0, values, groups);
+  for (size_t i = 0; i < values.size(); ++i) {
+    added.Add(0, groups[i], values[i]);
+  }
+  EXPECT_EQ(AccumulatorBytes(crossed), AccumulatorBytes(added));
+}
+
 TEST(AdrAccumulatorTest, QuantilesExactAtExtremesAndMonotone) {
   stats::AdrAccumulator acc(1, 1, 64);
   rng::Random random(99);
@@ -379,12 +437,6 @@ TEST(AdrAccumulatorTest, MergeIntoEmptyAdoptsShape) {
 /// the merge/round-trip tests below (equal buffers <=> equal bits in
 /// every field, including the sign of zeros).
 std::vector<uint8_t> StatsBytes(const stats::RunningStats& acc) {
-  base::BinaryWriter writer;
-  acc.Serialize(&writer);
-  return writer.TakeBuffer();
-}
-
-std::vector<uint8_t> AccumulatorBytes(const stats::AdrAccumulator& acc) {
   base::BinaryWriter writer;
   acc.Serialize(&writer);
   return writer.TakeBuffer();
