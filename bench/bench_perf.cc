@@ -17,7 +17,10 @@
 //    sections stream into a stats::AdrAccumulator. Proves the
 //    within-trial determinism contract (equal digest at every thread
 //    count) and that the run is memory-bounded (peak RSS reported; the
-//    raw series for 10^6 users x 19 years would be ~150 MB/trial).
+//    raw series for 10^6 users x 19 years would be ~150 MB/trial). A
+//    final leg checkpoints the 1-thread trial mid-run and resumes it at
+//    max_threads; the hard gate "checkpoint_resume_matches" requires the
+//    resumed digest to equal the uninterrupted one.
 //
 //  * "fit_scaling" — the yearly scorecard refit at accumulated-history
 //    scale (default 12 * 10^6 rows, the order of a 10^6-user trial's
@@ -52,18 +55,6 @@
 //    (ADR numerator, code) -> group table, rates for both, and a
 //    digest equality gate ("dense_matches_hashed") proving the fast
 //    path changes nothing.
-//
-//  * "shard_scaling" — the sharded population engine (PR 7): the
-//    within-trial workload swept over shard counts at 1 and
-//    max_threads threads (speedups relative to 1 shard, 1 thread), with
-//    three hard gates feeding the exit code: every sharded digest
-//    equals the unsharded one ("sharded_matches_unsharded"), all shard
-//    counts agree ("deterministic_across_shard_counts"), and a trial
-//    checkpointed mid-run and resumed under a different shard count
-//    reproduces the digest ("checkpoint_resume_matches"). Peak RSS is
-//    sampled after every shard count — before fit_scaling materializes
-//    its raw-row baseline, so the high-water marks still reflect the
-//    streaming trial.
 //
 //  * "serving_scaling" — the experiment service (PR 8): an in-process
 //    loopback server (run_experiment --serve's engine) fed a burst of
@@ -1494,6 +1485,8 @@ int main(int argc, char** argv) {
   // (the cohort is large enough to swamp timer noise).
   std::vector<ScalingPoint> within;
   bool within_deterministic = true;
+  bool checkpoint_resume_matches = true;
+  double within_peak_rss = 0.0;
   size_t within_years = 0;
   if (within_users > 0) {
     eqimpact::credit::CreditLoopOptions loop_options;
@@ -1505,77 +1498,12 @@ int main(int argc, char** argv) {
                    1;
     const double user_years = static_cast<double>(within_users) *
                               static_cast<double>(within_years);
-    double within_sequential = 0.0;
-    for (size_t threads : thread_counts) {
-      loop_options.num_threads = threads;
-      eqimpact::credit::CreditScoringLoop loop(loop_options);
-      eqimpact::stats::AdrAccumulator adr(eqimpact::credit::kNumRaces,
-                                          within_years, 64);
-      Clock::time_point start = Clock::now();
-      eqimpact::credit::CreditLoopResult result = loop.Run(
-          [&adr](const eqimpact::credit::YearSnapshot& snapshot) {
-            adr.AddCrossSection(snapshot.step, snapshot.user_adr,
-                                snapshot.race_ids);
-          });
-      ScalingPoint point;
-      point.num_threads = threads;
-      point.seconds = SecondsSince(start);
-      point.items_per_sec = user_years / point.seconds;
-      point.digest = Digest(result, adr);
-      if (threads == 1) within_sequential = point.seconds;
-      point.speedup =
-          point.seconds > 0.0 ? within_sequential / point.seconds : 0.0;
-      within.push_back(point);
-      std::fprintf(
-          stderr,
-          "  within_trial threads=%zu %.3fs (%.0f user-years/s, %.2fx)\n",
-          threads, point.seconds, point.items_per_sec, point.speedup);
-      if (result.user_adr.empty() == false) {
-        std::fprintf(stderr, "  ERROR: streaming run materialized series\n");
-        return 2;
-      }
-    }
-    within_deterministic = AllDigestsEqual(within);
-  }
-  // Sampled before fit_scaling materializes its raw baseline dataset, so
-  // this reflects the streaming trial alone (getrusage peaks are
-  // process-wide high-water marks).
-  const double within_peak_rss = PeakRssMb();
-
-  // --- Section 2b: shard scaling (population sharding). ----------------
-  // The same within-trial workload swept over shard counts x {1, max}
-  // threads: sharding regroups execution (contiguous chunk ranges,
-  // shard-order merge) and must never move a bit, and the threaded legs
-  // show what shards add over plain chunk parallelism. A final leg
-  // checkpoints the 4-shard trial mid-run and resumes it 2-sharded; the
-  // digest must still match. Runs before fit_scaling allocates, so the
-  // RSS high-water marks reflect the streaming trial alone.
-  struct ShardPoint {
-    size_t num_shards = 0;
-    size_t num_threads = 0;
-    double seconds = 0.0;
-    double items_per_sec = 0.0;
-    double speedup = 1.0;
-    uint64_t digest = 0;
-    double peak_rss_mb = 0.0;
-  };
-  std::vector<ShardPoint> shard_runs;
-  bool shard_matches_unsharded = true;
-  bool shard_deterministic = true;
-  bool checkpoint_resume_matches = true;
-  if (within_users > 0) {
-    eqimpact::credit::CreditLoopOptions loop_options;
-    loop_options.num_users = static_cast<size_t>(within_users);
-    loop_options.seed = 42;
-    loop_options.keep_user_adr = false;
-    const double user_years = static_cast<double>(within_users) *
-                              static_cast<double>(within_years);
     // Runs the trial streaming into `adr` (pre-seeded on the resume leg
     // with the checkpointed partial accumulator, mirroring the
     // experiment driver) and returns the digest over result + adr.
     auto run_digest = [&](const eqimpact::credit::CreditLoopOptions& options,
                           eqimpact::stats::AdrAccumulator* adr,
-                          double* seconds) {
+                          double* seconds) -> uint64_t {
       eqimpact::credit::CreditScoringLoop loop(options);
       Clock::time_point start = Clock::now();
       eqimpact::credit::CreditLoopResult result = loop.Run(
@@ -1584,58 +1512,47 @@ int main(int argc, char** argv) {
                                  snapshot.race_ids);
           });
       if (seconds != nullptr) *seconds = SecondsSince(start);
+      if (!result.user_adr.empty()) {
+        std::fprintf(stderr, "  ERROR: streaming run materialized series\n");
+        std::exit(2);
+      }
       return Digest(result, *adr);
     };
-    std::vector<size_t> shard_threads{1};
-    if (hw > 1) shard_threads.push_back(hw);
-    double shard_sequential = 0.0;
-    for (size_t threads : shard_threads) {
-      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        loop_options.num_threads = threads;
-        loop_options.num_shards = shards;
-        ShardPoint point;
-        point.num_shards = shards;
-        point.num_threads = threads;
-        eqimpact::stats::AdrAccumulator adr(eqimpact::credit::kNumRaces,
-                                            within_years, 64);
-        point.digest = run_digest(loop_options, &adr, &point.seconds);
-        point.items_per_sec = user_years / point.seconds;
-        point.peak_rss_mb = PeakRssMb();
-        if (shards == 1 && threads == 1) shard_sequential = point.seconds;
-        point.speedup =
-            point.seconds > 0.0 ? shard_sequential / point.seconds : 0.0;
-        shard_runs.push_back(point);
-        std::fprintf(stderr,
-                     "  shard_scaling shards=%zu threads=%zu %.3fs (%.0f "
-                     "user-years/s, %.2fx, rss %.1f MB)\n",
-                     shards, threads, point.seconds, point.items_per_sec,
-                     point.speedup, point.peak_rss_mb);
-      }
+    double within_sequential = 0.0;
+    for (size_t threads : thread_counts) {
+      loop_options.num_threads = threads;
+      eqimpact::stats::AdrAccumulator adr(eqimpact::credit::kNumRaces,
+                                          within_years, 64);
+      ScalingPoint point;
+      point.num_threads = threads;
+      point.digest = run_digest(loop_options, &adr, &point.seconds);
+      point.items_per_sec = user_years / point.seconds;
+      if (threads == 1) within_sequential = point.seconds;
+      point.speedup =
+          point.seconds > 0.0 ? within_sequential / point.seconds : 0.0;
+      within.push_back(point);
+      std::fprintf(
+          stderr,
+          "  within_trial threads=%zu %.3fs (%.0f user-years/s, %.2fx)\n",
+          threads, point.seconds, point.items_per_sec, point.speedup);
     }
-    for (const ShardPoint& point : shard_runs) {
-      if (point.digest != shard_runs.front().digest) {
-        shard_deterministic = false;
-      }
-    }
-    // The unsharded reference: the within-trial section already ran this
-    // exact workload unsharded at every thread count.
-    if (!within.empty() && shard_runs.front().digest != within.front().digest) {
-      shard_matches_unsharded = false;
-    }
-    if (!shard_deterministic) shard_matches_unsharded = false;
+    within_deterministic = AllDigestsEqual(within);
+    // Sampled before the checkpoint leg holds snapshot blobs and before
+    // fit_scaling materializes its raw baseline dataset, so this reflects
+    // the streaming trial alone (getrusage peaks are process-wide
+    // high-water marks).
+    within_peak_rss = PeakRssMb();
 
-    // Checkpoint leg: capture the 4-shard trial's engine snapshot AND
+    // Checkpoint leg: capture the 1-thread trial's engine snapshot AND
     // the partial accumulator at mid-run (the same pair the experiment
-    // driver persists), then resume 2-sharded — the snapshot format is
-    // shard-agnostic (no RNG cursors, no shard state), so the digest
-    // must not move.
+    // driver persists), then resume at max_threads — the snapshot holds
+    // no RNG cursors and no thread layout, so the digest must not move.
     std::vector<uint8_t> mid_blob;
     std::vector<uint8_t> mid_adr_blob;
     const size_t capture_year = (within_years + 1) / 2;
     eqimpact::stats::AdrAccumulator ck_adr(eqimpact::credit::kNumRaces,
                                            within_years, 64);
     loop_options.num_threads = 1;
-    loop_options.num_shards = 4;
     loop_options.checkpoint_sink =
         [&mid_blob, &mid_adr_blob, &ck_adr, capture_year](
             size_t years_completed, const std::vector<uint8_t>& state) {
@@ -1653,17 +1570,18 @@ int main(int argc, char** argv) {
                                         mid_adr_blob.size());
     const bool adr_restored = resumed_adr.Deserialize(&reader);
     loop_options.checkpoint_sink = nullptr;
-    loop_options.num_shards = 2;
+    loop_options.num_threads = thread_counts.back();
     loop_options.resume_state = &mid_blob;
     const uint64_t resumed_digest =
         run_digest(loop_options, &resumed_adr, nullptr);
     checkpoint_resume_matches =
         !mid_blob.empty() && adr_restored &&
-        checkpointed_digest == shard_runs.front().digest &&
-        resumed_digest == shard_runs.front().digest;
+        checkpointed_digest == within.front().digest &&
+        resumed_digest == within.front().digest;
     std::fprintf(stderr,
-                 "  shard_scaling checkpoint@year%zu resume 4->2 shards: %s\n",
-                 capture_year,
+                 "  within_trial checkpoint@year%zu resume 1->%zu threads: "
+                 "%s\n",
+                 capture_year, thread_counts.back(),
                  checkpoint_resume_matches ? "digest equal" : "MISMATCH");
   }
 
@@ -1799,8 +1717,7 @@ int main(int argc, char** argv) {
       market_deterministic && simd_section.vector_matches_scalar &&
       phi_section.vector_matches_scalar &&
       phi_section.max_ulp_vs_libm <= phi_section.ulp_bound &&
-      fold_section.dense_matches_hashed && shard_matches_unsharded &&
-      shard_deterministic && checkpoint_resume_matches &&
+      fold_section.dense_matches_hashed && checkpoint_resume_matches &&
       serving_section.served_digest_matches_cli &&
       connection_sweep.payloads_match && markov_ok;
 
@@ -1826,38 +1743,12 @@ int main(int argc, char** argv) {
     std::printf("    \"streaming\": true,\n");
     std::printf("    \"deterministic_across_thread_counts\": %s,\n",
                 within_deterministic ? "true" : "false");
+    std::printf("    \"checkpoint_resume_matches\": %s,\n",
+                checkpoint_resume_matches ? "true" : "false");
     std::printf("    \"digest\": \"%016" PRIx64 "\",\n",
                 within.front().digest);
     std::printf("    \"peak_rss_mb\": %.1f,\n", within_peak_rss);
     PrintScalingRuns(within, "user_years_per_sec");
-    std::printf("  },\n");
-  }
-  if (!shard_runs.empty()) {
-    std::printf("  \"shard_scaling\": {\n");
-    std::printf("    \"num_users\": %ld,\n", within_users);
-    std::printf("    \"num_years\": %zu,\n", within_years);
-    std::printf("    \"sharded_matches_unsharded\": %s,\n",
-                shard_matches_unsharded ? "true" : "false");
-    std::printf("    \"deterministic_across_shard_counts\": %s,\n",
-                shard_deterministic ? "true" : "false");
-    std::printf("    \"checkpoint_resume_matches\": %s,\n",
-                checkpoint_resume_matches ? "true" : "false");
-    std::printf("    \"digest\": \"%016" PRIx64 "\",\n",
-                shard_runs.front().digest);
-    std::printf("    \"runs\": [\n");
-    for (size_t i = 0; i < shard_runs.size(); ++i) {
-      const ShardPoint& p = shard_runs[i];
-      // peak_rss_mb is the process high-water mark *after* this run —
-      // monotone across runs by construction (getrusage semantics);
-      // flat values across shard counts are the expected good outcome.
-      std::printf(
-          "      {\"num_shards\": %zu, \"num_threads\": %zu, "
-          "\"wall_seconds\": %.6f, \"user_years_per_sec\": %.3f, "
-          "\"speedup\": %.3f, \"peak_rss_mb\": %.1f}%s\n",
-          p.num_shards, p.num_threads, p.seconds, p.items_per_sec, p.speedup,
-          p.peak_rss_mb, i + 1 < shard_runs.size() ? "," : "");
-    }
-    std::printf("    ]\n");
     std::printf("  },\n");
   }
   if (!fit_runs.empty()) {

@@ -6,8 +6,7 @@
 //   run_experiment --list
 //   run_experiment --scenario=NAME [--trials=N] [--seed=S] [--threads=T]
 //                  [--trial-threads=T] [--point-threads=P] [--bins=B]
-//                  [--shards=N] [--checkpoint=PATH] [--resume]
-//                  [--force-scalar]
+//                  [--checkpoint=PATH] [--resume] [--force-scalar]
 //                  [--set name=value]... [--sweep name=v1,v2,...]...
 //   run_experiment --serve [--port=P] [--port-file=PATH]
 //                  [--serve-workers=N] [--serve-queue=N]
@@ -50,15 +49,12 @@
 // single-line "provenance" field, which records the active backend, is
 // the one line the diff filters out).
 //
-// --shards=N is sugar for --set num_shards=N: shard the within-trial
-// population sweep N ways. Sharding regroups execution, never the work
-// — the digest is identical at every shard count.
-//
 // --checkpoint=PATH snapshots experiment progress to PATH after every
 // simulated step (atomic write; survives SIGKILL at any instant), and
 // --resume restarts from that snapshot if it exists. A resumed run's
-// output is byte-identical to an uninterrupted one. Checkpointing is a
-// single-experiment feature: combining it with --sweep is an error.
+// output is byte-identical to an uninterrupted one, also when it resumes
+// under a different --trial-threads. Checkpointing is a single-experiment
+// feature: combining it with --sweep is an error.
 //
 // Without --sweep, runs one experiment and prints its aggregates; with
 // one or more --sweep axes, fans the Cartesian grid out over
@@ -123,9 +119,6 @@ struct CliSpec {
   /// Cross-point workers of a --sweep run (SweepOptions convention:
   /// 1 = sequential, 0 = hardware concurrency).
   size_t point_threads = 1;
-  /// --shards=N: sugar for --set num_shards=N (0 = flag absent, keep
-  /// the scenario default). Recorded in the provenance field either way.
-  size_t shards = 0;
   /// --certify: print ergodicity certificates instead of running.
   bool certify = false;
   /// --cells=N: Ulam resolution of the certificate discretisation.
@@ -270,12 +263,6 @@ bool ParseArgs(int argc, char** argv, CliSpec* spec) {
       if (!parse_size_flag("--bins=", &spec->experiment.impact_bins)) {
         return false;
       }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!parse_size_flag("--shards=", &spec->shards)) return false;
-      if (spec->shards == 0) {
-        std::fprintf(stderr, "error: --shards must be positive\n");
-        return false;
-      }
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       spec->experiment.checkpoint_path = value_of("--checkpoint=");
       if (spec->experiment.checkpoint_path.empty()) {
@@ -345,7 +332,7 @@ eqimpact::serve::RenderHeader HeaderOf(const CliSpec& spec) {
   header.trial_threads = spec.experiment.trial_threads;
   header.point_threads = spec.point_threads;
   header.provenance_json = eqimpact::serve::RenderProvenance(
-      spec.force_scalar, spec.shards, spec.experiment.checkpoint_path,
+      spec.force_scalar, /*num_shards=*/0, spec.experiment.checkpoint_path,
       spec.experiment.resume, /*extra_json=*/"");
   return header;
 }
@@ -561,10 +548,9 @@ int main(int argc, char** argv) {
                    "do not apply\n");
       return 2;
     }
-    if (spec.scenario.empty() &&
-        (!spec.assignments.empty() || spec.shards > 0)) {
+    if (spec.scenario.empty() && !spec.assignments.empty()) {
       std::fprintf(stderr,
-                   "error: --set/--shards with --certify need "
+                   "error: --set with --certify needs "
                    "--scenario=NAME (certifying all scenarios takes their "
                    "defaults)\n");
       return 2;
@@ -586,7 +572,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: run_experiment --list | --scenario=NAME "
                  "[--trials=N] [--seed=S] [--threads=T] [--trial-threads=T] "
-                 "[--point-threads=P] [--bins=B] [--shards=N] "
+                 "[--point-threads=P] [--bins=B] "
                  "[--checkpoint=PATH] [--resume] [--force-scalar] "
                  "[--set name=value]... [--sweep name=v1,v2,...]... | "
                  "--serve [--port=P] [--port-file=PATH] [--serve-workers=N] "
@@ -607,13 +593,6 @@ int main(int argc, char** argv) {
   if (spec.experiment.resume && spec.experiment.checkpoint_path.empty()) {
     std::fprintf(stderr, "error: --resume needs --checkpoint=PATH\n");
     return 2;
-  }
-  // --shards is flag sugar for the scenario parameter of the same
-  // meaning; route it through SetParameter so a scenario without
-  // sharding rejects it with the standard diagnostic.
-  if (spec.shards > 0) {
-    spec.assignments.push_back(
-        {"num_shards", static_cast<double>(spec.shards)});
   }
   std::unique_ptr<Scenario> scenario =
       eqimpact::sim::CreateScenario(spec.scenario);

@@ -52,12 +52,11 @@ Checks, in order of severity:
    phi_scaling.vector_matches_scalar, phi_scaling.max_ulp_vs_libm <=
    phi_scaling.ulp_bound (the pinned CDF's documented accuracy
    contract), and fold_scaling.dense_matches_hashed (the dense refit
-   fold must leave the fitted scorecards bitwise-unchanged). The PR 7
-   shard_scaling section adds three more:
-   sharded_matches_unsharded, deterministic_across_shard_counts and
-   checkpoint_resume_matches — sharding and checkpoint/resume regroup
-   execution and must never move a bit. The PR 8 serving_scaling
-   section adds served_digest_matches_cli: every job served over the
+   fold must leave the fitted scorecards bitwise-unchanged).
+   within_trial_scaling adds checkpoint_resume_matches: a trial
+   checkpointed mid-run at one thread and resumed at max threads must
+   reproduce the uninterrupted digest. The PR 8 serving_scaling section
+   adds served_digest_matches_cli: every job served over the
    experiment service must carry the same digest AND byte-identical
    payload as a direct engine run + CLI render of the same spec — the
    serving layer is transport, never arithmetic. PR 10 extends the
@@ -77,14 +76,8 @@ Checks, in order of severity:
    matvec and stationary digests bitwise-stable at 1/2/8 threads), and
    stationary_converged; its section digest folds the per-size
    invariant-measure digests and is checked like every other
-   section's. Additionally, whenever a run
-   (fresh or snapshot) carries both within_trial_scaling and
-   shard_scaling at the same workload parameters, their digests must
-   agree with each other *within that file* (HARD FAIL): the sharded
-   engine reproducing the unsharded sweep is the tentpole contract, and
-   this cross-check catches a snapshot refreshed with mismatched halves.
-   Older snapshots without a shard_scaling section are fine — the
-   section is skipped like any other absent section.
+   section's. Sections an older snapshot carries but the fresh run no
+   longer emits (the retired shard_scaling) are not compared.
 
 3. Throughput (WARN only, exit 0): wall-clock rates are machine- and
    load-dependent, so regressions beyond the threshold (default 25%) are
@@ -370,7 +363,6 @@ def main(argv):
         ("simd_scaling", ["num_values"]),
         ("phi_scaling", ["num_values"]),
         ("fold_scaling", ["num_users", "num_user_years"]),
-        ("shard_scaling", ["num_users", "num_years"]),
         ("serving_scaling", ["num_jobs", "num_distinct"]),
         ("markov_scaling", ["max_cells", "num_maps"]),
     ]
@@ -380,26 +372,6 @@ def main(argv):
         )
         errors += e
         notes += n
-
-    # 1b. Sharded-vs-unsharded cross-check within each file: a run that
-    # carries both sections at the same workload must report one digest.
-    for label, run in (("fresh", fresh), ("snapshot", snapshot)):
-        within = run.get("within_trial_scaling")
-        shard = run.get("shard_scaling")
-        if within is None or shard is None:
-            continue
-        if any(
-            within.get(param) != shard.get(param)
-            for param in ("num_users", "num_years")
-        ):
-            continue
-        if within.get("digest") != shard.get("digest"):
-            errors += fail(
-                f"{label}: shard_scaling digest ({shard.get('digest')}) "
-                "differs from within_trial_scaling "
-                f"({within.get('digest')}) at equal parameters — the "
-                "sharded engine is not reproducing the unsharded sweep"
-            )
 
     # 2. The fresh run must itself be thread-count deterministic.
     for section in (
@@ -445,25 +417,13 @@ def main(argv):
             "fold_scaling: the dense refit fold does not reproduce the "
             "hashed fold's results bitwise"
         )
-    if "shard_scaling" in fresh:
-        shard = fresh["shard_scaling"]
-        for flag, meaning in (
-            (
-                "sharded_matches_unsharded",
-                "a sharded run's digest differs from the unsharded run's",
-            ),
-            (
-                "deterministic_across_shard_counts",
-                "the digest moved across shard counts",
-            ),
-            (
-                "checkpoint_resume_matches",
-                "a trial resumed from a mid-run checkpoint did not "
-                "reproduce the uninterrupted digest",
-            ),
-        ):
-            if not shard.get(flag, True):
-                errors += fail(f"shard_scaling: {meaning}")
+    if "within_trial_scaling" in fresh and not fresh[
+        "within_trial_scaling"
+    ].get("checkpoint_resume_matches", True):
+        errors += fail(
+            "within_trial_scaling: a trial resumed from a mid-run "
+            "checkpoint did not reproduce the uninterrupted digest"
+        )
     if "serving_scaling" in fresh:
         serving = fresh["serving_scaling"]
         if not serving.get("served_digest_matches_cli", True):
@@ -614,25 +574,6 @@ def main(argv):
             f"fold_scaling {rate_key}",
             fresh.get("fold_scaling", {}).get(rate_key),
             snapshot.get("fold_scaling", {}).get(rate_key),
-            warnings,
-        )
-    # shard_scaling rates, per (shard count, thread count). Older
-    # snapshots ran every shard count at one thread and carry no per-run
-    # num_threads.
-    def shard_key(run):
-        return (run.get("num_shards"), run.get("num_threads", 1))
-
-    snapshot_shards = {
-        shard_key(run): run.get("user_years_per_sec")
-        for run in snapshot.get("shard_scaling", {}).get("runs", [])
-    }
-    for run in fresh.get("shard_scaling", {}).get("runs", []):
-        shards, threads = shard_key(run)
-        check_rate(
-            f"shard_scaling user-years/sec ({shards} shards, "
-            f"{threads} threads)",
-            run.get("user_years_per_sec"),
-            snapshot_shards.get((shards, threads)),
             warnings,
         )
     # Serving throughput: end-to-end jobs/sec through the experiment

@@ -17,7 +17,6 @@
 #include "runtime/kernels.h"
 #include "runtime/parallel_for.h"
 #include "runtime/seed_sequence.h"
-#include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 
 namespace eqimpact {
@@ -28,10 +27,9 @@ namespace {
 // e.g. changing the repayment draws does not perturb the sampled cohort.
 // The race stream seeds one sequential generator (sampling the cohort is
 // a one-time cost); the income and repayment streams are roots of nested
-// per-(year, chunk) sub-streams — see the chunk passes below. Shards own
-// whole chunk ranges, so they inherit their chunks' sub-streams and need
-// no streams of their own; a checkpoint consequently stores no RNG
-// cursors at all — the streams are re-derived from (seed, year, chunk).
+// per-(year, chunk) sub-streams — see the chunk passes below. Threads
+// only regroup whole chunks, so a checkpoint stores no RNG cursors at
+// all — the streams are re-derived from (seed, year, chunk).
 enum StreamIndex : uint64_t {
   kRaceStream = 0,
   kIncomeStream = 1,
@@ -120,10 +118,10 @@ struct ChunkScratch {
 // Loop snapshot framing: magic ("EQCK"), format version, and a trailing
 // FNV-1a checksum over every preceding byte. The options fingerprint
 // binds a snapshot to the run configuration that can reproduce its bits;
-// it covers exactly the output-affecting options — never num_shards,
-// num_threads, pool or the checkpoint knobs themselves, which are
+// it covers exactly the output-affecting options — never num_threads,
+// pool, dense_history_fold or the checkpoint knobs themselves, which are
 // bitwise-neutral by the engine's determinism contract, so a trial
-// checkpointed unsharded may be resumed sharded (and vice versa).
+// checkpointed at one thread count may be resumed at any other.
 constexpr uint32_t kLoopSnapshotMagic = 0x4b435145u;  // "EQCK"
 constexpr uint32_t kLoopSnapshotVersion = 1;
 
@@ -183,10 +181,7 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   const size_t num_years =
       static_cast<size_t>(options_.last_year - options_.first_year) + 1;
   const size_t chunk_size = options_.users_per_chunk;
-  const runtime::ShardPlan plan =
-      runtime::MakeShardPlan(num_users, chunk_size, options_.num_shards);
-  const size_t num_chunks = plan.num_chunks;
-  const size_t num_shards = plan.num_shards();
+  const size_t num_chunks = runtime::NumChunks(num_users, chunk_size);
 
   const runtime::SeedSequence seeds(options_.seed);
   const runtime::SeedSequence income_streams = seeds.Child(kIncomeStream);
@@ -263,31 +258,6 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   }
   const size_t num_workers = runtime::EffectiveNumThreads(dispatch);
 
-  // Chunk dispatch, shard-aware: unsharded runs keep the flat
-  // chunk-parallel path; sharded runs go shard-parallel, each shard
-  // walking its contiguous chunk range in order. Both execute exactly
-  // the same chunk bodies on exactly the same (chunk, begin, end)
-  // triples — sharding regroups execution, never the work.
-  const auto for_each_chunk =
-      [&](const std::function<void(size_t, size_t, size_t)>& chunk_body) {
-        if (num_shards == 1) {
-          runtime::ParallelForChunks(num_users, chunk_size, chunk_body,
-                                     dispatch);
-          return;
-        }
-        runtime::ParallelFor(
-            num_shards,
-            [&](size_t s) {
-              const runtime::ShardRange& shard = plan.shards[s];
-              for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
-                const size_t begin = c * chunk_size;
-                const size_t end = std::min(begin + chunk_size, num_users);
-                chunk_body(c, begin, end);
-              }
-            },
-            dispatch);
-      };
-
   CreditLoopResult result;
   result.years.reserve(num_years);
   result.races = population.races();
@@ -333,18 +303,22 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   const size_t dense_slots =
       dense_fold ? DenseSlot(static_cast<uint32_t>(num_years), 0, 0) : 0;
   std::vector<uint32_t> dense_groups(dense_slots, kNoDenseGroup);
-  // Sharded hashed-fold staging: each shard folds its own chunks' rows
-  // into a per-shard dataset, re-assigned every year; the global history
-  // then absorbs the staged datasets in shard order. Group creation order
-  // is preserved — a group's global first occurrence lives in the first
-  // shard containing it, at that shard's local first occurrence — and
-  // every folded weight is an exact integer-valued double, so the merged
-  // history is bitwise the unsharded fold. The dense fold needs no
-  // staging: its serial merge is O(distinct keys) and already walks
-  // chunks in global order.
-  std::vector<ml::BinnedDataset> shard_history;
-  if (num_shards > 1 && !dense_fold) {
-    shard_history.assign(num_shards, ml::BinnedDataset(2, history_options));
+  // Hashed-fold staging: with more than one worker the chunk indices
+  // split into one contiguous range per worker; each range folds its
+  // chunks' rows into its own dataset, cleared every year, and the
+  // global history then absorbs the staged datasets in range order.
+  // Range order is chunk order, so group creation order is preserved — a
+  // group's global first occurrence lives in the first range containing
+  // it, at that range's local first occurrence — and every folded weight
+  // is an exact integer-valued double, so the merged history is bitwise
+  // the direct fold. One worker (or one chunk) folds directly. The dense
+  // fold needs no staging: its serial merge is O(distinct keys) and
+  // already walks chunks in global order.
+  const size_t range_chunks = (num_chunks + num_workers - 1) / num_workers;
+  const size_t num_ranges = runtime::NumChunks(num_chunks, range_chunks);
+  std::vector<ml::BinnedDataset> range_history;
+  if (num_ranges > 1 && !dense_fold) {
+    range_history.assign(num_ranges, ml::BinnedDataset(2, history_options));
   }
   if (resume) {
     EQIMPACT_CHECK(history.Deserialize(&*resume));
@@ -496,7 +470,7 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     const YearIncomeSampler sampler(income_model, year);
     const runtime::SeedSequence income_year = income_streams.Child(k);
     const runtime::SeedSequence repayment_year = repayment_streams.Child(k);
-    for_each_chunk([&](size_t c, size_t begin, size_t end) {
+    const auto draw_chunk = [&](size_t c, size_t begin, size_t end) {
       rng::Random income_rng(income_year.Seed(c));
       rng::Random repayment_rng(repayment_year.Seed(c));
       ChunkScratch& scratch = scratches[c];
@@ -507,7 +481,8 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
       population.ResampleIncomesFromUniforms(
           sampler, begin, end, scratch.income_uniforms.data());
       repayment_rng.FillUniformDouble(&uniforms[begin], count);
-    });
+    };
+    runtime::ParallelForChunks(num_users, chunk_size, draw_chunk, dispatch);
 
     // Retrain the AI system once the warm-up has produced data. If the
     // fit is impossible (single-class history) or fails, the previous
@@ -553,7 +528,7 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     // incomes are compacted so the expensive normal CDF runs only for
     // them, and a final scalar loop applies the repayment action and
     // filter update in user order.
-    for_each_chunk([&](size_t c, size_t begin, size_t end) {
+    const auto score_chunk = [&](size_t c, size_t begin, size_t end) {
       ChunkYield& yield = yields[c];
       ChunkScratch& scratch = scratches[c];
       yield.Clear();
@@ -624,15 +599,16 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
         ++yield.race_offers[race_ids[i]];
       }
       if (want_snapshot) filter.AdrInto(begin, end, &adr_snapshot[begin]);
-    });
+    };
+    runtime::ParallelForChunks(num_users, chunk_size, score_chunk, dispatch);
 
     // Merge the chunk yields in chunk (= user) order, weight-folding this
     // year's observations into the grouped history. The fold order is the
     // trial order (chunk 0, 1, ...), so group indices — and with them the
     // fit's accumulation order — are identical at every thread count.
-    // Sharded hashed runs fold shard-locally in parallel first and merge
-    // the staged datasets in shard order, which traverses the same chunk
-    // sequence (see shard_history above).
+    // Multi-worker hashed runs fold per chunk range in parallel first and
+    // merge the staged datasets in range order, which traverses the same
+    // chunk sequence (see range_history above).
     std::array<size_t, kNumRaces> race_offers = {0, 0, 0};
     for (const ChunkYield& yield : yields) {
       for (size_t r = 0; r < kNumRaces; ++r) {
@@ -673,21 +649,20 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
           history.AddCounts(group, negatives, positives);
         }
       }
-    } else if (num_shards > 1) {
-      runtime::ParallelFor(
-          num_shards,
-          [&](size_t s) {
-            const runtime::ShardRange& shard = plan.shards[s];
-            ml::BinnedDataset& staged = shard_history[s];
+    } else if (num_ranges > 1) {
+      runtime::ParallelForChunks(
+          num_chunks, range_chunks,
+          [&](size_t r, size_t chunk_begin, size_t chunk_end) {
+            ml::BinnedDataset& staged = range_history[r];
             staged.Clear();
-            for (size_t c = shard.chunk_begin; c < shard.chunk_end; ++c) {
+            for (size_t c = chunk_begin; c < chunk_end; ++c) {
               staged.AddBatch(yields[c].rows.data(), yields[c].labels.data(),
                               yields[c].labels.size());
             }
           },
           dispatch);
-      for (size_t s = 0; s < num_shards; ++s) {
-        history.Merge(shard_history[s]);
+      for (const ml::BinnedDataset& staged : range_history) {
+        history.Merge(staged);
       }
     } else {
       for (const ChunkYield& yield : yields) {

@@ -95,9 +95,11 @@ struct CreditLoopOptions {
   size_t users_per_chunk = 4096;
   /// Worker threads for the within-trial chunk passes and the yearly
   /// scorecard refit (the trainer's chunked gradient/Hessian reduction
-  /// shares the same persistent pool). 1 (default) runs sequentially
-  /// with zero dispatch overhead; 0 = hardware concurrency. Ignored
-  /// when `pool` is set.
+  /// shares the same persistent pool). With more than one worker the
+  /// hashed history fold is also staged over one contiguous chunk range
+  /// per worker and merged in range order. 1 (default) runs
+  /// sequentially with zero dispatch overhead; 0 = hardware
+  /// concurrency. Ignored when `pool` is set.
   size_t num_threads = 1;
   /// Optional caller-owned persistent pool for the within-trial
   /// dispatch (chunk passes + refit reduction), replacing the pool the
@@ -113,20 +115,6 @@ struct CreditLoopOptions {
   /// O(num_users x num_years).
   bool keep_user_adr = true;
 
-  /// Population shards for the within-trial passes. Each shard owns a
-  /// contiguous range of whole chunks (see runtime::MakeShardPlan) and
-  /// runs its own two-pass sweep (plus, on the hashed fold, its own
-  /// staged history fold), with per-shard results merged in shard
-  /// order — which visits chunks in exactly the global chunk order, so
-  /// every coefficient, series and digest is bitwise-identical to the
-  /// unsharded run at any
-  /// (num_shards, users_per_chunk, num_threads) configuration. 0 and 1
-  /// both mean unsharded; values above the chunk count are clamped.
-  /// Like num_threads (and unlike users_per_chunk), this knob never
-  /// moves a bit of output — it only regroups execution and scales the
-  /// engine out across shard-parallel workers.
-  size_t num_shards = 1;
-
   /// When set, the engine serializes its full state after every
   /// simulated year and hands the snapshot to this sink (from the
   /// calling thread, after the year's observer callback). Null (the
@@ -139,8 +127,8 @@ struct CreditLoopOptions {
   /// with the same options. The snapshot must come from a run with the
   /// same output-affecting options (cohort, years, models, seed,
   /// users_per_chunk, keep_user_adr — CHECK-enforced via an options
-  /// fingerprint; num_shards/num_threads/pool may differ freely). Not
-  /// owned; must outlive Run.
+  /// fingerprint; num_threads/pool may differ freely). Not owned; must
+  /// outlive Run.
   const std::vector<uint8_t>* resume_state = nullptr;
 };
 

@@ -21,10 +21,10 @@ namespace serve {
 /// The run-identification header fields both documents echo: the
 /// requested (not effective) knob values, exactly as the CLI echoes its
 /// flags, plus the one-line provenance object. Provenance records *how*
-/// the run executed (machine width, kernel backend, shard/checkpoint
-/// config, serving context) — everything that, by the determinism
-/// contract, must not move output bits — and is the only line allowed
-/// to differ between a CLI run and a served run of the same spec.
+/// the run executed (machine width, kernel backend, checkpoint config,
+/// serving context) — everything that, by the determinism contract,
+/// must not move output bits — and is the only line allowed to differ
+/// between a CLI run and a served run of the same spec.
 struct RenderHeader {
   size_t num_trials = 5;
   uint64_t master_seed = 42;
@@ -39,7 +39,9 @@ struct RenderHeader {
 /// The one-line provenance object shared by the CLI and the server:
 /// machine width and kernel backend, plus the caller's execution-side
 /// knobs. `extra_json` appends serving-side fields (e.g.
-/// "\"served\": true"); pass "" for none.
+/// "\"served\": true"); pass "" for none. `num_shards` is rendered as
+/// the retired "num_shards" key, kept so documents stay byte-stable;
+/// every caller passes 0.
 std::string RenderProvenance(bool force_scalar, size_t num_shards,
                              const std::string& checkpoint_path,
                              bool resume, const std::string& extra_json);

@@ -1,5 +1,6 @@
 #include "serve/scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -12,8 +13,10 @@ Scheduler::Scheduler(const SchedulerOptions& options) : options_(options) {
   const size_t total = options.total_threads > 0
                            ? options.total_threads
                            : runtime::ThreadPool::HardwareConcurrency();
+  // The largest per-job share that keeps workers x job_threads within
+  // the total (at least one thread per job).
   job_threads_ =
-      runtime::SplitBudget(total, options.num_workers).inner;
+      std::max<size_t>(total / std::min(total, options.num_workers), 1);
   pool_.reset(new runtime::ThreadPool(options.num_workers));
 }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/shard.h"
 #include "runtime/thread_pool.h"
 
 namespace eqimpact {
@@ -23,9 +22,9 @@ struct SchedulerOptions {
   /// production backpressure instead of unbounded memory growth.
   size_t queue_capacity = 16;
   /// Total simulation-thread budget split across the workers; each job
-  /// receives runtime::SplitBudget(total, workers).inner threads for
-  /// its own nested (trial/chunk) parallelism. 0 = hardware
-  /// concurrency. Thread budgets never move result bits.
+  /// receives max(total / min(total, workers), 1) threads for its own
+  /// nested (trial/chunk) parallelism. 0 = hardware concurrency. Thread
+  /// budgets never move result bits.
   size_t total_threads = 0;
 };
 
@@ -39,11 +38,10 @@ enum class Admission {
 /// Budgeted-nested-parallelism job scheduler of the experiment service:
 /// a bounded FIFO of experiment jobs executing on one shared
 /// runtime::ThreadPool, with admission control (reject-on-full instead
-/// of unbounded queueing) and a per-job thread budget generalized from
-/// the PR 5/PR 7 nested-budget machinery (jobs as the outer level,
-/// each job's trial/chunk fan-out as the inner). FIFO order is the
-/// pool's dispatch order; jobs are independent, so ordering affects
-/// latency only, never result bits.
+/// of unbounded queueing) and a nested per-job thread budget (jobs as
+/// the outer level, each job's trial/chunk fan-out as the inner). FIFO
+/// order is the pool's dispatch order; jobs are independent, so
+/// ordering affects latency only, never result bits.
 class Scheduler {
  public:
   /// The job callable; receives the per-job inner thread budget.

@@ -68,17 +68,12 @@ bool CreditScenario::SetParameter(const std::string& name, double value) {
     options_.loop.accumulate_history = value != 0.0;
     return true;
   }
-  if (name == "num_shards") {
-    if (!CountParameterInRange(value)) return false;
-    options_.loop.num_shards = static_cast<size_t>(value);
-    return true;
-  }
   return false;
 }
 
 std::vector<std::string> CreditScenario::ParameterNames() const {
   return {"num_users", "cutoff", "forgetting_factor", "income_code_threshold",
-          "accumulate_history", "num_shards"};
+          "accumulate_history"};
 }
 
 bool CreditScenario::SupportsCheckpoint() const { return true; }

@@ -36,9 +36,7 @@ class CreditScenario : public Scenario {
   std::vector<std::string> StepLabels() const override;
   std::vector<std::string> MetricNames() const override;
   /// "num_users", "cutoff", "forgetting_factor", "income_code_threshold",
-  /// "accumulate_history" (0/1) and "num_shards" are accepted.
-  /// num_shards is bitwise-neutral (it regroups execution, never the
-  /// work) — sweeping it is a determinism check, not an ablation.
+  /// and "accumulate_history" (0/1) are accepted.
   bool SetParameter(const std::string& name, double value) override;
   std::vector<std::string> ParameterNames() const override;
   void BeginExperiment(size_t num_trials) override;

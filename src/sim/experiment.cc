@@ -140,7 +140,7 @@ ExperimentResult RunExperiment(Scenario* scenario,
   if (checkpointing) {
     // Checkpoints linearize trial progress (the snapshot is "trials
     // [0, t) complete, trial t at step s"), so trial dispatch goes
-    // sequential; within-trial parallelism (trial_threads, shards) is
+    // sequential; within-trial parallelism (trial_threads) is
     // unaffected — and neither dispatch mode moves a bit of output.
     EQIMPACT_CHECK(scenario->SupportsCheckpoint());
     dispatch.num_threads = 1;

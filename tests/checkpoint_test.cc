@@ -1,8 +1,8 @@
-// Tests for the sharded population engine and its checkpoint/resume
-// layer (runtime::MakeShardPlan, the credit loop's num_shards /
-// checkpoint_sink / resume_state options, and the experiment driver's
-// snapshot file): sharding and checkpointing regroup execution and
-// persistence, and must never move a bit of simulated output.
+// Tests for the credit engine's checkpoint/resume layer (the credit
+// loop's checkpoint_sink / resume_state options and the experiment
+// driver's snapshot file): checkpointing regroups persistence, and a
+// snapshot resumes under any thread count without moving a bit of
+// simulated output.
 
 #include <cstdint>
 #include <cstdio>
@@ -15,7 +15,6 @@
 
 #include "base/fnv1a.h"
 #include "credit/credit_loop.h"
-#include "runtime/shard.h"
 #include "sim/credit_scenario.h"
 #include "sim/experiment.h"
 #include "stats/adr_accumulator.h"
@@ -23,76 +22,7 @@
 namespace eqimpact {
 namespace {
 
-// --- Shard plan geometry. --------------------------------------------------
-
-TEST(ShardPlanTest, EvenSplitOwnsContiguousChunkRanges) {
-  runtime::ShardPlan plan = runtime::MakeShardPlan(1000, 100, 5);
-  EXPECT_EQ(plan.num_chunks, 10u);
-  ASSERT_EQ(plan.num_shards(), 5u);
-  for (size_t s = 0; s < plan.num_shards(); ++s) {
-    const runtime::ShardRange& range = plan.shards[s];
-    EXPECT_EQ(range.num_chunks(), 2u);
-    EXPECT_EQ(range.chunk_begin, 2 * s);
-    EXPECT_EQ(range.user_begin, 200 * s);
-    EXPECT_EQ(range.user_end, 200 * (s + 1));
-  }
-}
-
-TEST(ShardPlanTest, RemainderChunksGoToLeadingShards) {
-  // 11 chunks over 4 shards: 3 + 3 + 3 + 2.
-  runtime::ShardPlan plan = runtime::MakeShardPlan(1100, 100, 4);
-  EXPECT_EQ(plan.num_chunks, 11u);
-  ASSERT_EQ(plan.num_shards(), 4u);
-  EXPECT_EQ(plan.shards[0].num_chunks(), 3u);
-  EXPECT_EQ(plan.shards[1].num_chunks(), 3u);
-  EXPECT_EQ(plan.shards[2].num_chunks(), 3u);
-  EXPECT_EQ(plan.shards[3].num_chunks(), 2u);
-  // Contiguous cover of [0, num_chunks).
-  size_t next_chunk = 0;
-  for (const runtime::ShardRange& range : plan.shards) {
-    EXPECT_EQ(range.chunk_begin, next_chunk);
-    next_chunk = range.chunk_end;
-  }
-  EXPECT_EQ(next_chunk, plan.num_chunks);
-}
-
-TEST(ShardPlanTest, RequestBeyondChunkCountClamps) {
-  // 250 users in 100-chunks -> 3 chunks; 8 requested shards clamp to 3,
-  // and the tail shard's user range ends at the cohort size, not the
-  // chunk boundary.
-  runtime::ShardPlan plan = runtime::MakeShardPlan(250, 100, 8);
-  EXPECT_EQ(plan.num_chunks, 3u);
-  ASSERT_EQ(plan.num_shards(), 3u);
-  EXPECT_EQ(plan.shards.back().user_end, 250u);
-}
-
-TEST(ShardPlanTest, ZeroAndOneRequestsMeanUnsharded) {
-  for (size_t requested : {size_t{0}, size_t{1}}) {
-    runtime::ShardPlan plan = runtime::MakeShardPlan(777, 64, requested);
-    ASSERT_EQ(plan.num_shards(), 1u);
-    EXPECT_EQ(plan.shards[0].chunk_begin, 0u);
-    EXPECT_EQ(plan.shards[0].chunk_end, plan.num_chunks);
-    EXPECT_EQ(plan.shards[0].user_begin, 0u);
-    EXPECT_EQ(plan.shards[0].user_end, 777u);
-  }
-}
-
-TEST(ShardBudgetTest, SplitsThreadsAcrossAndWithinShards) {
-  // More threads than shards: the surplus goes to within-shard workers.
-  runtime::ShardBudget budget = runtime::SplitShardBudget(8, 2);
-  EXPECT_EQ(budget.outer, 2u);
-  EXPECT_EQ(budget.inner, 4u);
-  // Fewer threads than shards: shard-level workers only.
-  budget = runtime::SplitShardBudget(3, 5);
-  EXPECT_EQ(budget.outer, 3u);
-  EXPECT_EQ(budget.inner, 1u);
-  // One thread: everything sequential.
-  budget = runtime::SplitShardBudget(1, 4);
-  EXPECT_EQ(budget.outer, 1u);
-  EXPECT_EQ(budget.inner, 1u);
-}
-
-// --- Sharded credit loop determinism. --------------------------------------
+// --- Credit loop checkpoint/resume. ----------------------------------------
 
 /// Order-dependent digest over everything a trial reports (bitwise:
 /// equal digests here mean equal doubles, bit for bit).
@@ -120,58 +50,50 @@ credit::CreditLoopOptions SmallLoopOptions() {
   return options;
 }
 
-TEST(ShardedLoopTest, DigestInvariantAcrossShardAndThreadCounts) {
-  credit::CreditLoopOptions options = SmallLoopOptions();
-  const uint64_t reference =
-      LoopDigest(credit::CreditScoringLoop(options).Run());
-  // 13 shards = one chunk each; 64 exceeds the chunk count and clamps.
-  for (size_t shards : {size_t{2}, size_t{3}, size_t{5}, size_t{13},
-                        size_t{64}}) {
-    for (size_t threads : {size_t{1}, size_t{3}}) {
-      options.num_shards = shards;
-      options.num_threads = threads;
-      EXPECT_EQ(LoopDigest(credit::CreditScoringLoop(options).Run()),
-                reference)
-          << "shards=" << shards << " threads=" << threads;
+TEST(LoopCheckpointTest, CheckpointResumeIsBitwiseAtEveryYear) {
+  // Once on the dense fold (forgetting factor 1) and once on the hashed
+  // fold, whose staging follows the worker count.
+  for (double forgetting_factor : {1.0, 0.9}) {
+    SCOPED_TRACE(::testing::Message() << "ff=" << forgetting_factor);
+    credit::CreditLoopOptions options = SmallLoopOptions();
+    options.forgetting_factor = forgetting_factor;
+    options.num_threads = 4;
+    // Capture every yearly snapshot.
+    std::vector<std::vector<uint8_t>> snapshots;
+    options.checkpoint_sink = [&snapshots](size_t years_completed,
+                                           const std::vector<uint8_t>& state) {
+      EXPECT_EQ(years_completed, snapshots.size() + 1);
+      snapshots.push_back(state);
+    };
+    const uint64_t reference =
+        LoopDigest(credit::CreditScoringLoop(options).Run());
+    const size_t num_years =
+        static_cast<size_t>(options.last_year - options.first_year) + 1;
+    ASSERT_EQ(snapshots.size(), num_years);
+
+    options.checkpoint_sink = nullptr;
+    for (size_t resume_year : {size_t{1}, num_years / 2, num_years - 1}) {
+      // Resume under a different thread count than the checkpointing
+      // run: snapshots carry no layout (or RNG-cursor) state by design.
+      for (size_t threads : {size_t{1}, size_t{3}}) {
+        options.num_threads = threads;
+        options.resume_state = &snapshots[resume_year - 1];
+        size_t first_observed_step = num_years;
+        credit::CreditLoopResult resumed =
+            credit::CreditScoringLoop(options).Run(
+                [&first_observed_step](const credit::YearSnapshot& snapshot) {
+                  if (snapshot.step < first_observed_step) {
+                    first_observed_step = snapshot.step;
+                  }
+                });
+        // Only the unfinished years re-run...
+        EXPECT_EQ(first_observed_step, resume_year);
+        // ...yet the completed record is bitwise the uninterrupted one.
+        EXPECT_EQ(LoopDigest(resumed), reference)
+            << "resumed from year " << resume_year << " at " << threads
+            << " threads";
+      }
     }
-  }
-}
-
-TEST(ShardedLoopTest, CheckpointResumeIsBitwiseAtEveryYear) {
-  credit::CreditLoopOptions options = SmallLoopOptions();
-  options.num_shards = 4;
-  // Capture every yearly snapshot.
-  std::vector<std::vector<uint8_t>> snapshots;
-  options.checkpoint_sink = [&snapshots](size_t years_completed,
-                                         const std::vector<uint8_t>& state) {
-    EXPECT_EQ(years_completed, snapshots.size() + 1);
-    snapshots.push_back(state);
-  };
-  const uint64_t reference =
-      LoopDigest(credit::CreditScoringLoop(options).Run());
-  const size_t num_years =
-      static_cast<size_t>(options.last_year - options.first_year) + 1;
-  ASSERT_EQ(snapshots.size(), num_years);
-
-  options.checkpoint_sink = nullptr;
-  for (size_t resume_year : {size_t{1}, num_years / 2, num_years - 1}) {
-    // Resume under a different shard count than the checkpointing run:
-    // snapshots carry no shard (or RNG-cursor) state by design.
-    options.num_shards = resume_year % 2 == 0 ? 1 : 5;
-    options.resume_state = &snapshots[resume_year - 1];
-    size_t first_observed_step = num_years;
-    credit::CreditLoopResult resumed =
-        credit::CreditScoringLoop(options).Run(
-            [&first_observed_step](const credit::YearSnapshot& snapshot) {
-              if (snapshot.step < first_observed_step) {
-                first_observed_step = snapshot.step;
-              }
-            });
-    // Only the unfinished years re-run...
-    EXPECT_EQ(first_observed_step, resume_year);
-    // ...yet the completed record is bitwise the uninterrupted one.
-    EXPECT_EQ(LoopDigest(resumed), reference)
-        << "resumed from year " << resume_year;
   }
 }
 
@@ -287,23 +209,24 @@ TEST(ExperimentCheckpointTest, ResumeAfterMidTrialCrashIsBitwise) {
   std::remove(path.c_str());
 }
 
-TEST(ExperimentCheckpointTest, ResumeUnderDifferentShardCountIsBitwise) {
+TEST(ExperimentCheckpointTest,
+     ResumeUnderDifferentTrialThreadCountIsBitwise) {
   sim::CreditScenario plain_scenario(SmallScenarioOptions());
   const uint64_t reference = sim::ExperimentDigest(
       sim::RunExperiment(&plain_scenario, SmallExperimentOptions()));
 
-  const std::string path = testing::TempDir() + "/eqimpact_ck_shards.bin";
+  const std::string path = testing::TempDir() + "/eqimpact_ck_threads.bin";
   std::remove(path.c_str());
-  // Crash a 4-sharded run mid-trial, resume unsharded: the snapshot
-  // carries no shard state, so the digest must not move.
-  sim::CreditScenarioOptions sharded = SmallScenarioOptions();
-  sharded.loop.num_shards = 4;
-  CrashingCreditScenario crashing(sharded, 6);
+  // Crash a 4-trial-thread run mid-trial, resume at one thread: the
+  // snapshot carries no layout state, so the digest must not move.
+  CrashingCreditScenario crashing(SmallScenarioOptions(), 6);
   sim::ExperimentOptions options = SmallExperimentOptions();
   options.checkpoint_path = path;
+  options.trial_threads = 4;
   EXPECT_THROW(sim::RunExperiment(&crashing, options), InjectedCrash);
 
   sim::CreditScenario resumed_scenario(SmallScenarioOptions());
+  options.trial_threads = 1;
   options.resume = true;
   EXPECT_EQ(
       sim::ExperimentDigest(sim::RunExperiment(&resumed_scenario, options)),

@@ -338,6 +338,17 @@ TEST(BinnedDatasetTest, SerializeRoundTripRestoresInsertionBehaviour) {
     EXPECT_EQ(restored.weight(g), original.weight(g));
     EXPECT_EQ(restored.positive_weight(g), original.positive_weight(g));
   }
+
+  // An empty dataset serializes empty vectors, whose restored storage
+  // may have a null data(); the reader must round-trip them cleanly.
+  base::BinaryWriter empty_writer;
+  ml::BinnedDataset(2, options).Serialize(&empty_writer);
+  const std::vector<uint8_t> empty_bytes = empty_writer.TakeBuffer();
+  ml::BinnedDataset empty_restored(2, options);
+  base::BinaryReader empty_reader(empty_bytes.data(), empty_bytes.size());
+  ASSERT_TRUE(empty_restored.Deserialize(&empty_reader));
+  EXPECT_TRUE(empty_reader.AtEnd());
+  EXPECT_EQ(empty_restored.num_groups(), 0u);
 }
 
 TEST(BinnedDatasetTest, DeserializeRejectsTruncatedBytes) {
@@ -956,10 +967,13 @@ void ExpectSameFold(const FoldRun& expected, const FoldRun& actual) {
 
 TEST(CreditLoopTest, DenseFoldMergesChunksLikeHashedFold) {
   // 777 users in 64-user chunks: thirteen chunks whose count tables and
-  // key lists the dense fold merges in chunk order. The hashed fold at
-  // one thread and one shard is the reference for every configuration.
-  // dense_history_fold is outside the options fingerprint, so the
-  // checkpoint blobs are comparable byte for byte.
+  // key lists the dense fold merges in chunk order. Above one thread the
+  // hashed fold stages one contiguous chunk range per worker and merges
+  // the ranges in order: 3 threads give uneven 5/5/3 ranges, 8 threads
+  // seven ranges of at most two chunks. The hashed fold at one thread is
+  // the reference for every configuration. dense_history_fold is
+  // outside the options fingerprint, so the checkpoint blobs are
+  // comparable byte for byte.
   credit::CreditLoopOptions options;
   options.num_users = 777;
   options.users_per_chunk = 64;
@@ -968,17 +982,35 @@ TEST(CreditLoopTest, DenseFoldMergesChunksLikeHashedFold) {
   options.dense_history_fold = false;
   const FoldRun hashed = RunWithBlobs(options);
   ASSERT_EQ(hashed.blobs.size(), 19u);
+  for (size_t threads : {2, 3, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "hashed threads=" << threads);
+    options.num_threads = threads;
+    const FoldRun staged = RunWithBlobs(options);
+    ExpectSameFold(hashed, staged);
+    EXPECT_EQ(hashed.result.user_adr, staged.result.user_adr);
+  }
   options.dense_history_fold = true;
   for (size_t threads : {1, 4}) {
-    for (size_t shards : {1, 3}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " shards=" << shards);
-      options.num_threads = threads;
-      options.num_shards = shards;
-      const FoldRun dense = RunWithBlobs(options);
-      ExpectSameFold(hashed, dense);
-      EXPECT_EQ(hashed.result.user_adr, dense.result.user_adr);
-    }
+    SCOPED_TRACE(::testing::Message() << "dense threads=" << threads);
+    options.num_threads = threads;
+    const FoldRun dense = RunWithBlobs(options);
+    ExpectSameFold(hashed, dense);
+    EXPECT_EQ(hashed.result.user_adr, dense.result.user_adr);
+  }
+
+  // A forgetting factor below 1 takes the hashed fold over binned ADR
+  // groups (the sweep path); its staging must match its own 1-thread run.
+  options.forgetting_factor = 0.9;
+  options.num_threads = 1;
+  const FoldRun forgetting = RunWithBlobs(options);
+  ASSERT_EQ(forgetting.blobs.size(), 19u);
+  ASSERT_FALSE(forgetting.result.scorecards.empty());
+  for (size_t threads : {2, 3, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << "ff=0.9 threads=" << threads);
+    options.num_threads = threads;
+    const FoldRun staged = RunWithBlobs(options);
+    ExpectSameFold(forgetting, staged);
+    EXPECT_EQ(forgetting.result.user_adr, staged.result.user_adr);
   }
 }
 

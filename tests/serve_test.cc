@@ -300,8 +300,15 @@ TEST(ServeScheduler, SplitsTheThreadBudgetAcrossWorkers) {
   SchedulerOptions options;
   options.num_workers = 2;
   options.total_threads = 8;
-  Scheduler scheduler(options);
-  EXPECT_EQ(scheduler.job_threads(), 4u);
+  EXPECT_EQ(Scheduler(options).job_threads(), 4u);
+  // Fewer threads than workers: one thread per job.
+  options.num_workers = 5;
+  options.total_threads = 3;
+  EXPECT_EQ(Scheduler(options).job_threads(), 1u);
+  // One thread: every job sequential.
+  options.num_workers = 4;
+  options.total_threads = 1;
+  EXPECT_EQ(Scheduler(options).job_threads(), 1u);
 }
 
 // --- Result cache -----------------------------------------------------
@@ -471,6 +478,9 @@ TEST(ServeService, TypedErrorsDoNotReachTheScheduler) {
       {R"({"scenario": "credit", "set": {"num_users": -5}})",
        "bad_parameter"},
       {R"({"scenario": "credit", "sweep": {"warp": [1]}})",
+       "bad_parameter"},
+      // The retired within-trial shard knob is an unknown parameter.
+      {R"({"scenario": "credit", "set": {"num_shards": 2}})",
        "bad_parameter"},
   };
   for (const auto& test_case : cases) {
