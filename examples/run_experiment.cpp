@@ -18,10 +18,12 @@
 // --certify prints ergodicity certificates instead of running trials:
 // each scenario's declared dynamics surrogate (an affine IFS) is
 // discretised on a sparse Ulam operator and its invariant measure,
-// spectral gap and mixing-time bound are computed with the iterative
-// sparse eigensolvers — simulation-free, O(cells) memory. Without
-// --scenario it certifies every registered scenario; with it, one
-// scenario with the --set assignments applied. --cells sets the Ulam
+// spectral gap and mixing-time bounds (total variation on the chain,
+// Wasserstein-1 on the IFS) are computed with the iterative sparse
+// eigensolvers — simulation-free, O(cells) memory. Without --scenario
+// it certifies every registered scenario, solving each distinct
+// surrogate once; with it, one scenario with the --set assignments
+// applied. --cells sets the Ulam
 // resolution (default 4096). Certificates are closed-form properties of
 // the spec, so --certify cannot be combined with --sweep, --serve or
 // checkpointing, and the output is byte-identical under --force-scalar

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "base/fnv1a.h"
 #include "graph/analysis.h"
@@ -9,6 +10,21 @@
 
 namespace eqimpact {
 namespace core {
+
+namespace {
+
+// Steps t with c^t * diameter <= epsilon: W1 contracts by the average
+// contraction factor c per step, and no two measures on the domain are
+// further apart than its diameter.
+double WassersteinMixingTimeBound(double contraction, double diameter,
+                                  double epsilon) {
+  if (epsilon >= diameter) return 0.0;
+  if (contraction <= 0.0) return 1.0;  // Constant maps: one step.
+  if (contraction >= 1.0) return std::numeric_limits<double>::infinity();
+  return std::ceil(std::log(epsilon / diameter) / std::log(contraction));
+}
+
+}  // namespace
 
 std::string ErgodicityCertificate::Summary() const {
   char line[256];
@@ -75,12 +91,12 @@ std::string SpectralCertificate::Summary() const {
   std::snprintf(
       line, sizeof(line),
       "cells=%zu contraction=%.4f terminal_classes=%zu "
-      "invariant_measure=%s mean=%.6f gap=%.6f mixing(eps=%.2g)<=%.0f "
-      "certified=%s",
+      "invariant_measure=%s mean=%.6f gap=%.6f eps=%.2g tv_mixing<=%.0f "
+      "w1_mixing<=%.0f certified=%s",
       num_cells, contraction_factor, terminal_classes,
       invariant_measure_exists ? "exists" : "none", invariant_mean,
       spectral_gap, mixing_time_epsilon, mixing_time_bound,
-      certified ? "yes" : "no");
+      wasserstein_mixing_time_bound, certified ? "yes" : "no");
   return line;
 }
 
@@ -94,6 +110,8 @@ SpectralCertificate CertifyIfsSpectral(
   certificate.mixing_time_epsilon = options.epsilon;
   certificate.contraction_factor = ifs.AverageContractionFactor();
   certificate.average_contractive = certificate.contraction_factor < 1.0;
+  certificate.wasserstein_mixing_time_bound = WassersteinMixingTimeBound(
+      certificate.contraction_factor, hi - lo, options.epsilon);
 
   markov::SparseUlamOptions build;
   build.num_threads = options.num_threads;
@@ -128,15 +146,17 @@ SpectralCertificate CertifyIfsSpectral(
   subdominant.subspace = options.arnoldi_subspace;
   subdominant.product.num_threads = options.num_threads;
   linalg::SubdominantResult spectrum =
-      linalg::SparseSubdominantModulus(op.transition(), pi, subdominant);
+      linalg::AdjointSubdominantModulus(op.adjoint(), pi, subdominant);
   certificate.subdominant_modulus = spectrum.modulus;
   certificate.spectral_gap = spectrum.spectral_gap;
   if (spectrum.modulus <= 0.0) {
     // Rank-one chain: one step reaches stationarity.
     certificate.mixing_time_bound = 1.0;
   } else if (spectrum.modulus < 1.0) {
+    // log(1 / (eps * pi_min)) taken as a difference of logs: pi_min can be
+    // subnormal, where the product underflows to 0.
     certificate.mixing_time_bound =
-        std::ceil(std::log(1.0 / (options.epsilon * pi_min)) /
+        std::ceil((std::log(1.0 / options.epsilon) - std::log(pi_min)) /
                   std::log(1.0 / spectrum.modulus));
   }
   certificate.certified = certificate.average_contractive &&

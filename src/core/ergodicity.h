@@ -63,7 +63,8 @@ struct SpectralCertificateOptions {
   /// Ulam resolution. O(num_cells) memory and per-iteration time via the
   /// sparse engine, so 10^5+ is practical.
   size_t num_cells = 4096;
-  /// Total-variation accuracy the mixing-time bound is stated for.
+  /// Accuracy both mixing-time bounds are stated for, in their own
+  /// distances (total variation; Wasserstein-1).
   double epsilon = 0.01;
   /// Stationary-solver iteration cap and L1 step tolerance.
   int max_iterations = 100000;
@@ -78,14 +79,26 @@ struct SpectralCertificateOptions {
 /// Quantitative, simulation-free ergodicity certificate for a 1-d affine
 /// IFS, computed on its sparse Ulam discretisation: invariant-measure
 /// existence/uniqueness (structural: exactly one recurrent class),
-/// spectral gap 1 - |lambda_2| via deflated Arnoldi, and a mixing-time
-/// bound. The bound uses the standard spectral heuristic
-///   t(eps) <= log(1 / (eps * pi_min)) / log(1 / |lambda_2|)
-/// with pi_min the smallest positive stationary mass (exact for
-/// reversible chains, a gap-based estimate otherwise — reported as a
-/// diagnostic, not a proof). `certified` combines the continuous-side
-/// Elton condition (average contractivity) with the discretised chain's
-/// unique attractive invariant measure.
+/// spectral gap 1 - |lambda_2| via deflated Arnoldi, and two mixing-time
+/// bounds, each in its own distance:
+///
+///  * total variation on the Ulam chain, by the standard spectral
+///    heuristic
+///      t(eps) <= log(1 / (eps * pi_min)) / log(1 / |lambda_2|)
+///    with pi_min the smallest positive stationary mass (exact for
+///    reversible chains, a gap-based estimate otherwise — a diagnostic,
+///    not a proof). Evaluated in log space, so it stays finite when
+///    pi_min is subnormal.
+///  * Wasserstein-1 on the IFS itself, which is sound: the average
+///    contraction factor c = sum_e p_e Lip(w_e) bounds the per-step
+///    contraction of W1, and no two measures on [lo, hi] are further than
+///    hi - lo apart, so
+///      t(eps) = ceil(log(eps / (hi - lo)) / log c)
+///    steps bring any two initial laws within eps.
+///
+/// `certified` combines the continuous-side Elton condition (average
+/// contractivity) with the discretised chain's unique attractive
+/// invariant measure; both bounds are finite whenever it holds.
 struct SpectralCertificate {
   size_t num_cells = 0;
   double lo = 0.0;
@@ -107,9 +120,13 @@ struct SpectralCertificate {
   double subdominant_modulus = 1.0;
   double spectral_gap = 0.0;
   double mixing_time_epsilon = 0.01;
-  /// Steps to come within epsilon of stationarity per the bound above;
-  /// +inf when the gap is zero or no measure exists.
+  /// Total-variation steps to come within epsilon of stationarity per the
+  /// spectral bound above; +inf when the gap is zero or no measure exists.
   double mixing_time_bound = std::numeric_limits<double>::infinity();
+  /// Wasserstein-1 steps for any two initial laws of the IFS to come
+  /// within epsilon; +inf when the IFS is not average contractive.
+  double wasserstein_mixing_time_bound =
+      std::numeric_limits<double>::infinity();
   /// Average contractivity + unique attractive invariant measure of the
   /// discretised chain, at this resolution.
   bool certified = false;

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
+#include "runtime/parallel_for.h"
+#include "runtime/thread_pool.h"
 
 namespace eqimpact {
 namespace linalg {
@@ -76,124 +80,124 @@ size_t StronglyConnectedComponents(const SparseMatrix& a,
   return num_components;
 }
 
-size_t CountTerminalComponents(const SparseMatrix& a) {
+// Uniqueness structure of the chain P whose adjoint P^T is `adjoint`, from
+// one Tarjan pass over the adjoint's pattern. P^T has the same strongly
+// connected components as P with every edge reversed: a stored entry
+// (c, r) of P^T is the P-edge r -> c, which leaves r's class when c lies
+// in another one. A class no P-edge leaves is terminal (recurrent).
+struct ChainStructure {
+  bool irreducible = false;
+  size_t terminal_classes = 0;
+};
+
+ChainStructure AnalyzeAdjoint(const SparseMatrix& adjoint) {
   std::vector<size_t> component;
-  const size_t count = StronglyConnectedComponents(a, &component);
+  const size_t count = StronglyConnectedComponents(adjoint, &component);
   std::vector<uint8_t> has_exit(count, 0);
-  const std::vector<size_t>& offsets = a.row_offsets();
-  const std::vector<size_t>& cols = a.col_indices();
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-      if (component[cols[k]] != component[r]) has_exit[component[r]] = 1;
+  const std::vector<size_t>& offsets = adjoint.row_offsets();
+  const std::vector<size_t>& cols = adjoint.col_indices();
+  for (size_t c = 0; c < adjoint.rows(); ++c) {
+    for (size_t k = offsets[c]; k < offsets[c + 1]; ++k) {
+      const size_t source = component[cols[k]];
+      if (source != component[c]) has_exit[source] = 1;
     }
   }
-  size_t terminal = 0;
-  for (size_t c = 0; c < count; ++c) {
-    if (!has_exit[c]) ++terminal;
+  ChainStructure structure;
+  structure.irreducible = count == 1;
+  for (size_t i = 0; i < count; ++i) {
+    if (!has_exit[i]) ++structure.terminal_classes;
   }
-  return terminal;
+  return structure;
+}
+
+// next[r] = (x[r] + (P^T x)[r]) / 2 for the adjoint rows [begin, end):
+// the lazy shift keeps periodic chains convergent.
+void LazyStepRows(const SparseMatrix& adjoint, const double* x, double* next,
+                  size_t begin, size_t end) {
+  const size_t* offsets = adjoint.row_offsets().data();
+  const size_t* cols = adjoint.col_indices().data();
+  const double* vals = adjoint.values().data();
+  for (size_t r = begin; r < end; ++r) {
+    // Unrolled by four (the same left-to-right sum): Ulam rows are a few
+    // entries long, and a per-entry loop branch that mispredicts on every
+    // row-length change would dominate the pass.
+    size_t k = offsets[r];
+    const size_t row_end = offsets[r + 1];
+    double sum = 0.0;
+    for (; k + 4 <= row_end; k += 4) {
+      sum += vals[k] * x[cols[k]];
+      sum += vals[k + 1] * x[cols[k + 1]];
+      sum += vals[k + 2] * x[cols[k + 2]];
+      sum += vals[k + 3] * x[cols[k + 3]];
+    }
+    for (; k < row_end; ++k) sum += vals[k] * x[cols[k]];
+    next[r] = 0.5 * (x[r] + sum);
+  }
 }
 
 }  // namespace
 
-SparsePowerResult SparsePowerIteration(const SparseMatrix& a,
-                                       const SparseSolverOptions& options) {
-  EQIMPACT_CHECK_EQ(a.rows(), a.cols());
-  EQIMPACT_CHECK_GT(a.rows(), 0u);
-  const size_t n = a.rows();
-
-  SparsePowerResult result;
-  // Same deterministic tilted-uniform start as the dense PowerIteration.
-  Vector x(n);
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 0.001 * static_cast<double>(i + 1);
-  }
-  x /= x.Norm2();
-
-  double lambda = 0.0;
-  for (int it = 0; it < options.max_iterations; ++it) {
-    Vector next = a.Multiply(x, options.product);
-    const double norm = next.Norm2();
-    if (norm == 0.0) {
-      result.eigenvalue = 0.0;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    next /= norm;
-    const double new_lambda = Dot(next, a.Multiply(next, options.product));
-    double drift = MaxAbsDiff(next, x);
-    Vector flipped = next;
-    flipped *= -1.0;
-    drift = std::min(drift, MaxAbsDiff(flipped, x));
-    x = next;
-    if (std::fabs(new_lambda - lambda) <= options.tolerance &&
-        drift <= options.tolerance) {
-      result.eigenvalue = new_lambda;
-      result.eigenvector = x;
-      result.iterations = it + 1;
-      result.converged = true;
-      return result;
-    }
-    lambda = new_lambda;
-  }
-  result.eigenvalue = lambda;
-  result.eigenvector = x;
-  result.iterations = options.max_iterations;
-  result.converged = false;
-  return result;
-}
-
-bool IsIrreducible(const SparseMatrix& a) {
-  EQIMPACT_CHECK_EQ(a.rows(), a.cols());
-  if (a.rows() == 0) return false;
-  std::vector<size_t> component;
-  return StronglyConnectedComponents(a, &component) == 1;
-}
-
-size_t TerminalClassCount(const SparseMatrix& a) {
-  EQIMPACT_CHECK_EQ(a.rows(), a.cols());
-  return CountTerminalComponents(a);
-}
-
 SparseStationaryResult SparseStationaryDistribution(
     const SparseMatrix& transition, const SparseSolverOptions& options) {
-  EQIMPACT_CHECK_EQ(transition.rows(), transition.cols());
-  EQIMPACT_CHECK_GT(transition.rows(), 0u);
-  const size_t n = transition.rows();
+  return AdjointStationaryDistribution(transition.Transposed(), options);
+}
+
+SparseStationaryResult AdjointStationaryDistribution(
+    const SparseMatrix& adjoint, const SparseSolverOptions& options) {
+  EQIMPACT_CHECK_EQ(adjoint.rows(), adjoint.cols());
+  EQIMPACT_CHECK_GT(adjoint.rows(), 0u);
+  const size_t n = adjoint.rows();
 
   SparseStationaryResult result;
-  {
-    std::vector<size_t> component;
-    const size_t count = StronglyConnectedComponents(transition, &component);
-    result.irreducible = (count == 1);
-  }
-  result.terminal_classes = CountTerminalComponents(transition);
+  const ChainStructure structure = AnalyzeAdjoint(adjoint);
+  result.irreducible = structure.irreducible;
+  result.terminal_classes = structure.terminal_classes;
   if (result.terminal_classes != 1) return result;
 
-  // The adjoint is materialised once: its row gather accumulates each
-  // component over ascending source states, the same order a dense
-  // MultiplyLeft scatter produces, and the row-owned parallel Multiply is
-  // bitwise thread-count-invariant.
-  const SparseMatrix adjoint = transition.Transposed();
-  Vector x(n);
-  for (size_t i = 0; i < n; ++i) x[i] = 1.0 / static_cast<double>(n);
+  // Multi-threaded solves dispatch every iteration on one pool, not on a
+  // throwaway pool per matvec.
+  runtime::ParallelForOptions parallel;
+  parallel.num_threads = options.product.num_threads;
+  parallel.pool = options.product.pool;
+  std::optional<runtime::ThreadPool> owned_pool;
+  const size_t workers =
+      std::min(runtime::EffectiveNumThreads(parallel),
+               runtime::NumChunks(n, options.product.chunk_size));
+  if (parallel.pool == nullptr && workers > 1) {
+    owned_pool.emplace(workers);
+    parallel.pool = &*owned_pool;
+  }
+
+  // Two buffers swapped every iteration. The row pass owns next[r] (the
+  // gather over adjoint row r runs over ascending source states, the order
+  // of a dense MultiplyLeft scatter), so it is bitwise thread-invariant;
+  // the sum and the normalise + delta pass run sequentially in index order.
+  std::vector<double> x(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
+  const double* xv = x.data();
+  double* nv = next.data();
+  const std::function<void(size_t, size_t, size_t)> lazy_step =
+      [&](size_t /*chunk*/, size_t begin, size_t end) {
+        LazyStepRows(adjoint, xv, nv, begin, end);
+      };
   for (int it = 0; it < options.max_iterations; ++it) {
-    Vector next = adjoint.Multiply(x, options.product);
-    // Lazy shift: x' = (x + P^T x) / 2 keeps periodic chains convergent.
-    for (size_t i = 0; i < n; ++i) next[i] = 0.5 * (x[i] + next[i]);
+    runtime::ParallelForChunks(n, options.product.chunk_size, lazy_step,
+                               parallel);
     double sum = 0.0;
-    for (size_t i = 0; i < n; ++i) sum += next[i];
+    for (size_t i = 0; i < n; ++i) sum += nv[i];
     EQIMPACT_CHECK_GT(sum, 0.0);
-    for (size_t i = 0; i < n; ++i) next[i] /= sum;
     double delta = 0.0;
-    for (size_t i = 0; i < n; ++i) delta += std::fabs(next[i] - x[i]);
-    x = next;
+    for (size_t i = 0; i < n; ++i) {
+      nv[i] /= sum;
+      delta += std::fabs(nv[i] - xv[i]);
+    }
+    x.swap(next);
+    xv = x.data();
+    nv = next.data();
     result.iterations = it + 1;
     if (delta <= options.tolerance) {
       result.converged = true;
-      result.distribution = std::move(x);
+      result.distribution = Vector(std::move(x));
       return result;
     }
   }
@@ -203,9 +207,16 @@ SparseStationaryResult SparseStationaryDistribution(
 SubdominantResult SparseSubdominantModulus(const SparseMatrix& transition,
                                            const Vector& stationary,
                                            const SubdominantOptions& options) {
-  EQIMPACT_CHECK_EQ(transition.rows(), transition.cols());
-  EQIMPACT_CHECK_EQ(stationary.size(), transition.rows());
-  const size_t n = transition.rows();
+  return AdjointSubdominantModulus(transition.Transposed(), stationary,
+                                   options);
+}
+
+SubdominantResult AdjointSubdominantModulus(const SparseMatrix& adjoint,
+                                            const Vector& stationary,
+                                            const SubdominantOptions& options) {
+  EQIMPACT_CHECK_EQ(adjoint.rows(), adjoint.cols());
+  EQIMPACT_CHECK_EQ(stationary.size(), adjoint.rows());
+  const size_t n = adjoint.rows();
 
   SubdominantResult result;
   if (n <= 1) {
@@ -216,7 +227,6 @@ SubdominantResult SparseSubdominantModulus(const SparseMatrix& transition,
     return result;
   }
 
-  const SparseMatrix adjoint = transition.Transposed();
   // Deflated adjoint: B x = P^T x - pi (1^T x).
   const auto apply_deflated = [&](const Vector& v) {
     Vector out = adjoint.Multiply(v, options.product);

@@ -19,40 +19,16 @@ namespace linalg {
 /// deterministic: fixed start vectors, and every floating-point reduction
 /// runs in a thread-count-invariant order (see SparseMatrix).
 
-/// Shared iteration controls for the sparse solvers.
+/// Iteration controls for the stationary solver.
 struct SparseSolverOptions {
-  /// Iteration cap for the fixed-point loops.
+  /// Iteration cap for the fixed-point loop.
   int max_iterations = 100000;
   /// L1 step-delta convergence threshold.
   double tolerance = 1e-13;
-  /// Threading/chunking for the matvecs inside the solver.
+  /// Threading/chunking for the solver's row passes. Without a caller
+  /// pool, a multi-threaded solve starts one pool for all its iterations.
   SparseProductOptions product;
 };
-
-/// Result of SparsePowerIteration.
-struct SparsePowerResult {
-  double eigenvalue = 0.0;
-  Vector eigenvector;
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Power iteration for the dominant eigenpair of `a` (by modulus, assuming
-/// a real dominant eigenvalue; sign-flip tracking handles negative ones,
-/// matching the dense PowerIteration contract).
-SparsePowerResult SparsePowerIteration(const SparseMatrix& a,
-                                       const SparseSolverOptions& options = {});
-
-/// True when the support pattern of the square matrix `a` is strongly
-/// connected (the chain it describes is irreducible).
-bool IsIrreducible(const SparseMatrix& a);
-
-/// Number of terminal (sink) strongly connected components of the support
-/// pattern of the square matrix `a`: SCCs with no edge leaving them. For a
-/// row-stochastic matrix these are exactly the recurrent classes, and the
-/// stationary distribution is unique iff there is exactly one — a strictly
-/// weaker requirement than irreducibility (transient states are fine).
-size_t TerminalClassCount(const SparseMatrix& a);
 
 /// Result of SparseStationaryDistribution.
 struct SparseStationaryResult {
@@ -61,7 +37,10 @@ struct SparseStationaryResult {
   std::optional<Vector> distribution;
   int iterations = 0;
   bool converged = false;
-  /// Structural diagnostics, always filled.
+  /// Structural diagnostics, always filled: whether the support pattern is
+  /// strongly connected, and its number of terminal (sink) strongly
+  /// connected components — for a row-stochastic matrix exactly the
+  /// recurrent classes.
   bool irreducible = false;
   size_t terminal_classes = 0;
 };
@@ -72,11 +51,21 @@ struct SparseStationaryResult {
 /// (1 + L) / 2, so the fixed point is attractive even for periodic chains
 /// (where plain power iteration oscillates), and pi (I + P) / 2 = pi iff
 /// pi P = pi. Uniqueness is certified structurally first: unless the
-/// support pattern has exactly one terminal class, returns nullopt. The
-/// loop is sum/divide-only (no libm), so converged iterates are
-/// bit-reproducible across machines.
+/// support pattern has exactly one terminal class (a strictly weaker
+/// requirement than irreducibility: transient states are fine), returns
+/// nullopt. The loop is sum/divide-only (no libm), so converged iterates
+/// are bit-reproducible across machines, and bitwise-identical at any
+/// options.product thread count or chunk size.
 SparseStationaryResult SparseStationaryDistribution(
     const SparseMatrix& transition, const SparseSolverOptions& options = {});
+
+/// SparseStationaryDistribution of the chain whose adjoint `adjoint`
+/// (= transition.Transposed()) the caller already holds; the result is
+/// bitwise the same. One iteration is one pass over the adjoint's rows
+/// (gather, shift) into a second preallocated buffer, a sequential sum,
+/// and one normalise + L1-delta pass; the buffers then swap.
+SparseStationaryResult AdjointStationaryDistribution(
+    const SparseMatrix& adjoint, const SparseSolverOptions& options = {});
 
 /// Controls for SparseSubdominantModulus.
 struct SubdominantOptions {
@@ -106,6 +95,13 @@ struct SubdominantResult {
 /// which handles complex pairs — approximates |lambda_2| directly.
 SubdominantResult SparseSubdominantModulus(
     const SparseMatrix& transition, const Vector& stationary,
+    const SubdominantOptions& options = {});
+
+/// SparseSubdominantModulus from the caller's `adjoint`
+/// (= transition.Transposed()), without transposing again; the result is
+/// bitwise the same.
+SubdominantResult AdjointSubdominantModulus(
+    const SparseMatrix& adjoint, const Vector& stationary,
     const SubdominantOptions& options = {});
 
 }  // namespace linalg

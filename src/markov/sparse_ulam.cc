@@ -161,7 +161,7 @@ linalg::Vector SparseUlamOperator::Propagate(
 
 linalg::SparseStationaryResult SparseUlamOperator::StationarySolve(
     const linalg::SparseSolverOptions& options) const {
-  return linalg::SparseStationaryDistribution(transition_, options);
+  return linalg::AdjointStationaryDistribution(adjoint_, options);
 }
 
 std::optional<linalg::Vector> SparseUlamOperator::InvariantCellMeasure(

@@ -71,8 +71,9 @@ class SparseUlamOperator {
                            const linalg::SparseProductOptions& product = {})
       const;
 
-  /// Stationary distribution of T by shifted adjoint power iteration,
-  /// with the structural uniqueness gate (exactly one terminal class).
+  /// Stationary distribution of T by shifted adjoint power iteration over
+  /// adjoint(), with the structural uniqueness gate (exactly one terminal
+  /// class); see linalg::AdjointStationaryDistribution.
   linalg::SparseStationaryResult StationarySolve(
       const linalg::SparseSolverOptions& options = {}) const;
 

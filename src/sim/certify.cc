@@ -1,9 +1,13 @@
 #include "sim/certify.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <utility>
 
 #include "base/check.h"
 #include "sim/scenario_registry.h"
@@ -73,6 +77,8 @@ void AppendCertificateJson(const ScenarioCertificate& certificate,
           JsonNumber(s.mixing_time_epsilon) + ",\n";
   *out += "      \"mixing_time_bound_steps\": " +
           JsonNumber(s.mixing_time_bound) + ",\n";
+  *out += "      \"wasserstein_mixing_time_bound_steps\": " +
+          JsonNumber(s.wasserstein_mixing_time_bound) + ",\n";
   std::snprintf(line, sizeof(line), "      \"solver_iterations\": %d,\n",
                 s.solver_iterations);
   *out += line;
@@ -87,30 +93,78 @@ void AppendCertificateJson(const ScenarioCertificate& certificate,
   *out += "    }";
 }
 
+// Everything a spectral certificate depends on besides the call's
+// options: the surrogate's maps, probabilities and domain, as bit
+// patterns, so equal keys are guaranteed bit-identical certificates.
+std::vector<uint64_t> SurrogateKey(const ScenarioDynamics& model) {
+  std::vector<uint64_t> key;
+  const auto add = [&key](double value) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    key.push_back(bits);
+  };
+  add(model.lo);
+  add(model.hi);
+  for (size_t e = 0; e < model.ifs.num_maps(); ++e) {
+    const markov::AffineMap& map = model.ifs.map(e);
+    key.push_back(map.dimension());
+    for (size_t r = 0; r < map.dimension(); ++r) {
+      for (size_t c = 0; c < map.dimension(); ++c) add(map.a()(r, c));
+      add(map.b()[r]);
+    }
+    add(model.ifs.probability(e));
+  }
+  return key;
+}
+
 }  // namespace
 
 ScenarioCertificate CertifyScenario(const Scenario& scenario,
                                     const ScenarioCertifyOptions& options) {
-  ScenarioCertificate certificate;
-  certificate.scenario = scenario.name();
-  std::optional<ScenarioDynamics> model = scenario.DynamicsModel();
-  if (!model.has_value()) return certificate;
-  certificate.has_model = true;
-  certificate.model_description = model->description;
-  certificate.spectral = core::CertifyIfsSpectral(model->ifs, model->lo,
-                                                  model->hi, options.spectral);
-  return certificate;
+  return CertifyScenarios({&scenario}, options).front();
+}
+
+std::vector<ScenarioCertificate> CertifyScenarios(
+    const std::vector<const Scenario*>& scenarios,
+    const ScenarioCertifyOptions& options) {
+  std::vector<ScenarioCertificate> certificates;
+  // Surrogates certified so far in this call, each with the index of the
+  // certificate it produced.
+  std::vector<std::pair<std::vector<uint64_t>, size_t>> solved;
+  for (const Scenario* scenario : scenarios) {
+    EQIMPACT_CHECK(scenario != nullptr);
+    ScenarioCertificate certificate;
+    certificate.scenario = scenario->name();
+    std::optional<ScenarioDynamics> model = scenario->DynamicsModel();
+    if (model.has_value()) {
+      certificate.has_model = true;
+      certificate.model_description = model->description;
+      std::vector<uint64_t> key = SurrogateKey(*model);
+      const auto same = std::find_if(
+          solved.begin(), solved.end(),
+          [&key](const auto& entry) { return entry.first == key; });
+      if (same != solved.end()) {
+        certificate.spectral = certificates[same->second].spectral;
+      } else {
+        certificate.spectral = core::CertifyIfsSpectral(
+            model->ifs, model->lo, model->hi, options.spectral);
+        solved.emplace_back(std::move(key), certificates.size());
+      }
+    }
+    certificates.push_back(std::move(certificate));
+  }
+  return certificates;
 }
 
 std::vector<ScenarioCertificate> CertifyRegisteredScenarios(
     const ScenarioCertifyOptions& options) {
-  std::vector<ScenarioCertificate> certificates;
+  std::vector<std::unique_ptr<Scenario>> owned;
+  std::vector<const Scenario*> scenarios;
   for (const std::string& name : RegisteredScenarioNames()) {
-    std::unique_ptr<Scenario> scenario = CreateScenario(name);
-    EQIMPACT_CHECK(scenario != nullptr);
-    certificates.push_back(CertifyScenario(*scenario, options));
+    owned.push_back(CreateScenario(name));
+    scenarios.push_back(owned.back().get());
   }
-  return certificates;
+  return CertifyScenarios(scenarios, options);
 }
 
 std::string RenderScenarioCertificatesJson(

@@ -32,8 +32,18 @@ struct ScenarioCertificate {
 ScenarioCertificate CertifyScenario(const Scenario& scenario,
                                     const ScenarioCertifyOptions& options = {});
 
-/// Certifies every registered scenario (fresh default-configured
-/// instances, in registry name order).
+/// Certifies each scenario under its current parameters, in order. The
+/// spectral certificate is a function of the surrogate and the options
+/// alone, so scenarios whose surrogates are exactly equal (maps,
+/// probabilities, lo and hi, bit for bit) share one: each distinct
+/// surrogate is solved once per call and its certificate copied. Every
+/// certificate equals CertifyScenario's.
+std::vector<ScenarioCertificate> CertifyScenarios(
+    const std::vector<const Scenario*>& scenarios,
+    const ScenarioCertifyOptions& options = {});
+
+/// CertifyScenarios over every registered scenario (fresh
+/// default-configured instances, in registry name order).
 std::vector<ScenarioCertificate> CertifyRegisteredScenarios(
     const ScenarioCertifyOptions& options = {});
 
@@ -42,7 +52,8 @@ std::vector<ScenarioCertificate> CertifyRegisteredScenarios(
 /// serve::RenderProvenance convention), and one certificate object per
 /// scenario.
 /// All numbers are rendered with %.17g (bit-faithful round trip) and
-/// non-finite mixing bounds as null, so the output is always valid JSON.
+/// non-finite mixing bounds as null, so the output is always valid JSON;
+/// a certified certificate has both bounds finite.
 std::string RenderScenarioCertificatesJson(
     const std::vector<ScenarioCertificate>& certificates,
     const std::string& provenance_json, const ScenarioCertifyOptions& options);

@@ -424,8 +424,29 @@ TEST(SpectralCertificateTest, UniformLimitIfsIsCertifiedWithHalfGap) {
   EXPECT_NEAR(certificate.spectral_gap, 0.5, 0.05);
   EXPECT_TRUE(std::isfinite(certificate.mixing_time_bound));
   EXPECT_GE(certificate.mixing_time_bound, 1.0);
+  // Wasserstein-1: 0.5^t <= 0.01 first at t = 7.
+  EXPECT_EQ(certificate.wasserstein_mixing_time_bound, 7.0);
   EXPECT_TRUE(certificate.certified);
   EXPECT_NE(certificate.measure_digest, 0u);
+}
+
+TEST(SpectralCertificateTest, WassersteinBoundScalesWithDomainAndEpsilon) {
+  // c = 0.9 on [0, 10]: 10 * 0.9^t <= 0.5 first at t = 29
+  // (10 * 0.9^28 = 0.52, 10 * 0.9^29 = 0.47); an epsilon as wide as the
+  // domain needs no step.
+  markov::AffineIfs ifs(
+      {markov::AffineMap::Scalar(0.9, 0.0), markov::AffineMap::Scalar(0.9, 1.0)},
+      {0.5, 0.5});
+  core::SpectralCertificateOptions options;
+  options.num_cells = 100;
+  options.epsilon = 0.5;
+  EXPECT_EQ(core::CertifyIfsSpectral(ifs, 0.0, 10.0, options)
+                .wasserstein_mixing_time_bound,
+            29.0);
+  options.epsilon = 10.0;
+  EXPECT_EQ(core::CertifyIfsSpectral(ifs, 0.0, 10.0, options)
+                .wasserstein_mixing_time_bound,
+            0.0);
 }
 
 TEST(SpectralCertificateTest, SlopeOneIfsHasMeasureButIsNotCertified) {
@@ -444,6 +465,7 @@ TEST(SpectralCertificateTest, SlopeOneIfsHasMeasureButIsNotCertified) {
   EXPECT_NEAR(certificate.contraction_factor, 1.0, 1e-12);
   EXPECT_TRUE(certificate.invariant_measure_exists);
   EXPECT_FALSE(certificate.certified);
+  EXPECT_TRUE(std::isinf(certificate.wasserstein_mixing_time_bound));
 }
 
 TEST(SpectralCertificateTest, CertificateIsDeterministicAcrossThreadCounts) {

@@ -456,33 +456,6 @@ TEST(SparseMatrixTest, MultiplyIsBitwiseThreadAndChunkInvariant) {
   }
 }
 
-TEST(SparseMatrixTest, TransposeMultiplyMatchesTransposedAndIsInvariant) {
-  SparseMatrix m = AdversarialMatrix(48, 21, 9);
-  rng::Random random(17);
-  Vector x(48);
-  for (size_t i = 0; i < x.size(); ++i) {
-    x[i] = random.UniformDouble(-1.0, 1.0);
-  }
-  // Chunk-folded scatter vs transposed-gather: same value up to FP
-  // reordering (they are NOT bitwise-equal in general — see the header).
-  const Vector gathered = m.Transposed().Multiply(x);
-  const Vector scattered = m.TransposeMultiply(x);
-  ASSERT_EQ(scattered.size(), gathered.size());
-  for (size_t c = 0; c < scattered.size(); ++c) {
-    EXPECT_NEAR(scattered[c], gathered[c], 1e-12);
-  }
-  // At a fixed chunk size the fold order is pinned, so the result is a
-  // pure function of (matrix, x, chunk_size): bitwise thread-invariant.
-  SparseProductOptions pinned;
-  pinned.chunk_size = 16;
-  const Vector reference = m.TransposeMultiply(x, pinned);
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    pinned.num_threads = threads;
-    EXPECT_TRUE(BitwiseEqual(m.TransposeMultiply(x, pinned), reference))
-        << threads << " threads";
-  }
-}
-
 // --- Sparse eigensolvers. ---------------------------------------------------
 
 SparseMatrix FromDense(const Matrix& dense) {
@@ -493,16 +466,6 @@ SparseMatrix FromDense(const Matrix& dense) {
     }
   }
   return builder.Build();
-}
-
-TEST(SparseEigenTest, PowerIterationMatchesDense) {
-  Matrix a{{4.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 2.0}};
-  linalg::PowerIterationResult dense = linalg::PowerIteration(a);
-  linalg::SparsePowerResult sparse =
-      linalg::SparsePowerIteration(FromDense(a));
-  ASSERT_TRUE(dense.converged);
-  ASSERT_TRUE(sparse.converged);
-  EXPECT_NEAR(sparse.eigenvalue, dense.eigenvalue, 1e-9);
 }
 
 TEST(SparseEigenTest, StationaryMatchesDenseOnRandomChain) {

@@ -5,7 +5,9 @@
 // round-trips, and the equalizer-intervention sweep reproducing the
 // paper's qualitative market result.
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fnv1a.h"
 #include "base/serial.h"
 #include "credit/credit_loop.h"
 #include "credit/race.h"
+#include "linalg/sparse_eigen.h"
+#include "markov/sparse_ulam.h"
 #include "runtime/parallel_for.h"
 #include "runtime/seed_sequence.h"
 #include "sim/certify.h"
@@ -516,7 +521,126 @@ TEST(CertifyTest, AllRegisteredScenariosCertifyAtModestResolution) {
         << certificate.scenario;
     EXPECT_TRUE(std::isfinite(certificate.spectral.mixing_time_bound))
         << certificate.scenario;
+    EXPECT_TRUE(
+        std::isfinite(certificate.spectral.wasserstein_mixing_time_bound))
+        << certificate.scenario;
   }
+}
+
+// Every field of two spectral certificates, doubles compared exactly.
+void ExpectSameSpectral(const core::SpectralCertificate& a,
+                        const core::SpectralCertificate& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.num_cells, b.num_cells) << label;
+  EXPECT_EQ(a.lo, b.lo) << label;
+  EXPECT_EQ(a.hi, b.hi) << label;
+  EXPECT_EQ(a.contraction_factor, b.contraction_factor) << label;
+  EXPECT_EQ(a.average_contractive, b.average_contractive) << label;
+  EXPECT_EQ(a.irreducible, b.irreducible) << label;
+  EXPECT_EQ(a.terminal_classes, b.terminal_classes) << label;
+  EXPECT_EQ(a.invariant_measure_exists, b.invariant_measure_exists) << label;
+  EXPECT_EQ(a.invariant_mean, b.invariant_mean) << label;
+  EXPECT_EQ(a.solver_iterations, b.solver_iterations) << label;
+  EXPECT_EQ(a.solver_converged, b.solver_converged) << label;
+  EXPECT_EQ(a.measure_digest, b.measure_digest) << label;
+  EXPECT_EQ(a.subdominant_modulus, b.subdominant_modulus) << label;
+  EXPECT_EQ(a.spectral_gap, b.spectral_gap) << label;
+  EXPECT_EQ(a.mixing_time_epsilon, b.mixing_time_epsilon) << label;
+  EXPECT_EQ(a.mixing_time_bound, b.mixing_time_bound) << label;
+  EXPECT_EQ(a.wasserstein_mixing_time_bound, b.wasserstein_mixing_time_bound)
+      << label;
+  EXPECT_EQ(a.certified, b.certified) << label;
+}
+
+TEST(CertifyTest, BuiltinCertificatesArePinnedAt8192Cells) {
+  // The --certify --cells=8192 certificates, bit for bit: a faster solver
+  // must reproduce these stationary vectors and iteration counts exactly.
+  struct Pinned {
+    const char* scenario;
+    const char* digest;
+    int iterations;
+    double wasserstein_steps;
+  };
+  const Pinned pinned[] = {{"credit", "2959feb49dac7e6e", 987, 86.0},
+                           {"ensemble", "a94ae9dd98f65a37", 7214, 1152.0},
+                           {"market", "a94ae9dd98f65a37", 7214, 1152.0}};
+  sim::ScenarioCertifyOptions options;
+  options.spectral.num_cells = 8192;
+  const std::vector<sim::ScenarioCertificate> certificates =
+      sim::CertifyRegisteredScenarios(options);
+  ASSERT_EQ(certificates.size(), 3u);
+  for (size_t i = 0; i < certificates.size(); ++i) {
+    const core::SpectralCertificate& s = certificates[i].spectral;
+    EXPECT_EQ(certificates[i].scenario, pinned[i].scenario);
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016" PRIx64, s.measure_digest);
+    EXPECT_STREQ(digest, pinned[i].digest) << pinned[i].scenario;
+    EXPECT_EQ(s.solver_iterations, pinned[i].iterations) << pinned[i].scenario;
+    EXPECT_EQ(s.wasserstein_mixing_time_bound, pinned[i].wasserstein_steps)
+        << pinned[i].scenario;
+    // pi_min is subnormal for the slow EWMAs: the total-variation bound
+    // must still be finite beside a positive certificate.
+    EXPECT_TRUE(s.certified) << pinned[i].scenario;
+    EXPECT_TRUE(std::isfinite(s.mixing_time_bound)) << pinned[i].scenario;
+  }
+}
+
+TEST(CertifyTest, StationarySolveIsBitwiseAtOneTwoAndFourThreads) {
+  std::optional<sim::ScenarioDynamics> model =
+      sim::CreditScenario().DynamicsModel();
+  ASSERT_TRUE(model.has_value());
+  const markov::SparseUlamOperator op(model->ifs, model->lo, model->hi, 8192);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    linalg::SparseSolverOptions options;
+    options.product.num_threads = threads;
+    options.product.chunk_size = 1024;  // Eight chunks: four busy workers.
+    const linalg::SparseStationaryResult result =
+        linalg::SparseStationaryDistribution(op.transition(), options);
+    ASSERT_TRUE(result.distribution.has_value()) << threads;
+    base::Fnv1a digest;
+    for (double value : result.distribution->data()) digest.MixDouble(value);
+    // The credit certificate's pinned measure_digest.
+    EXPECT_EQ(digest.hash(), 0x2959feb49dac7e6eull) << threads << " threads";
+    EXPECT_EQ(result.iterations, 987) << threads << " threads";
+  }
+}
+
+TEST(CertifyTest, SharedSurrogatesMatchIndependentCertificates) {
+  sim::ScenarioCertifyOptions options;
+  options.spectral.num_cells = 512;
+  // Ensemble and market declare the same surrogate by default; one call
+  // solves it once and must still equal two independent certificates.
+  const std::vector<sim::ScenarioCertificate> shared =
+      sim::CertifyRegisteredScenarios(options);
+  ASSERT_EQ(shared.size(), sim::RegisteredScenarioNames().size());
+  for (const sim::ScenarioCertificate& certificate : shared) {
+    const std::unique_ptr<sim::Scenario> fresh =
+        sim::CreateScenario(certificate.scenario);
+    const sim::ScenarioCertificate alone =
+        sim::CertifyScenario(*fresh, options);
+    EXPECT_EQ(certificate.has_model, alone.has_model);
+    EXPECT_EQ(certificate.model_description, alone.model_description);
+    ExpectSameSpectral(certificate.spectral, alone.spectral,
+                       certificate.scenario);
+  }
+
+  // A market with a different horizon has a different surrogate: it must
+  // get its own solve, not the ensemble's certificate.
+  sim::EnsembleScenario ensemble{{}};
+  sim::MatchingMarketScenario market;
+  sim::MatchingMarketScenario longer;
+  ASSERT_TRUE(longer.SetParameter("rounds", 800.0));
+  const std::vector<sim::ScenarioCertificate> mixed =
+      sim::CertifyScenarios({&ensemble, &market, &longer}, options);
+  ASSERT_EQ(mixed.size(), 3u);
+  ExpectSameSpectral(mixed[1].spectral, mixed[0].spectral, "market");
+  EXPECT_NE(mixed[2].spectral.contraction_factor,
+            mixed[0].spectral.contraction_factor);
+  EXPECT_NE(mixed[2].spectral.measure_digest,
+            mixed[0].spectral.measure_digest);
+  ExpectSameSpectral(mixed[2].spectral,
+                     sim::CertifyScenario(longer, options).spectral,
+                     "market rounds=800");
 }
 
 TEST(CertifyTest, IntegralEnsembleControllerIsNotCertified) {
