@@ -1025,15 +1025,27 @@ ServingSection RunServingSuite() {
   return section;
 }
 
-/// One point of the serving connection-count sweep: `connections`
-/// clients pipelining a fixed total of submissions through the server,
-/// with every payload byte-compared against the pre-warmed baseline
-/// (the per-point hard gate).
+/// One timed pass of the connection sweep: `connections` clients, each
+/// pipelining `jobs_per_connection` cache-hit submissions.
+struct ConnectionSweepSample {
+  double jobs_per_sec = 0.0;
+  double p50_latency_ms = 0.0;
+  double p95_latency_ms = 0.0;
+  bool payloads_match = true;
+};
+
+/// One point of the serving connection-count sweep: the median, min and
+/// max jobs/s over repeated samples, the median p50/p95 latency, and
+/// the per-point hard gate (every payload of every sample byte-compared
+/// against the pre-warmed baseline).
 struct ConnectionSweepPoint {
   size_t connections = 0;
-  size_t num_jobs = 0;
-  double wall_seconds = 0.0;
-  double jobs_per_sec = 0.0;
+  size_t jobs_per_connection = 0;
+  size_t num_jobs = 0;  ///< Per sample.
+  size_t repeats = 0;
+  double jobs_per_sec = 0.0;  ///< Median.
+  double jobs_per_sec_min = 0.0;
+  double jobs_per_sec_max = 0.0;
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   bool payloads_match = true;
@@ -1044,17 +1056,114 @@ struct ConnectionSweepSection {
   bool payloads_match = true;  ///< Fold over every point's gate.
 };
 
+double MedianOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+ConnectionSweepSample RunConnectionSweepSample(
+    uint16_t port, const std::vector<ServingJob>& jobs,
+    const std::vector<std::string>& baseline, size_t connections,
+    size_t jobs_per_connection) {
+  constexpr size_t kWindow = 4;  // Outstanding per connection.
+  const size_t total_jobs = connections * jobs_per_connection;
+  std::vector<double> latencies_ms;
+  std::mutex collect_mutex;
+  bool ok = true;
+  const Clock::time_point start = Clock::now();
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < connections; ++c) {
+    clients.emplace_back([&, c] {
+      eqimpact::serve::Client client;
+      std::string error;
+      if (!client.Connect(port, &error)) {
+        std::lock_guard<std::mutex> lock(collect_mutex);
+        ok = false;
+        return;
+      }
+      // Pipelined submission: keep up to kWindow requests in flight,
+      // matching results back to their spec by id.
+      struct Pending {
+        size_t spec = 0;
+        Clock::time_point sent;
+      };
+      std::map<std::string, Pending> inflight;
+      std::vector<double> local_latencies;
+      bool local_ok = true;
+      size_t next = 0;
+      size_t done = 0;
+      while (done < jobs_per_connection && local_ok) {
+        while (next < jobs_per_connection && inflight.size() < kWindow) {
+          const size_t spec = (c + next) % jobs.size();
+          const std::string id =
+              "c" + std::to_string(c) + "-" + std::to_string(next);
+          // Splice the id into the shared request line.
+          std::string request =
+              "{\"id\": \"" + id + "\", " + jobs[spec].request.substr(1);
+          Pending pending;
+          pending.spec = spec;
+          pending.sent = Clock::now();
+          inflight.emplace(id, pending);
+          if (!client.Send(request)) {
+            local_ok = false;
+            break;
+          }
+          ++next;
+        }
+        eqimpact::serve::ClientEvent event;
+        if (!client.ReadEvent(&event, &error)) {
+          local_ok = false;
+          break;
+        }
+        if (event.event != "result" && event.event != "error") continue;
+        auto found = inflight.find(event.id);
+        if (found == inflight.end() || event.event == "error" ||
+            event.payload != baseline[found->second.spec]) {
+          local_ok = false;
+          break;
+        }
+        local_latencies.push_back(SecondsSince(found->second.sent) * 1e3);
+        inflight.erase(found);
+        ++done;
+      }
+      std::lock_guard<std::mutex> lock(collect_mutex);
+      if (!local_ok) ok = false;
+      latencies_ms.insert(latencies_ms.end(), local_latencies.begin(),
+                          local_latencies.end());
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  const double wall_seconds = SecondsSince(start);
+
+  ConnectionSweepSample sample;
+  sample.payloads_match = ok && latencies_ms.size() == total_jobs;
+  sample.jobs_per_sec =
+      wall_seconds > 0.0 ? static_cast<double>(total_jobs) / wall_seconds
+                         : 0.0;
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  auto percentile = [&latencies_ms](double p) {
+    if (latencies_ms.empty()) return 0.0;
+    const size_t index = static_cast<size_t>(
+        p * static_cast<double>(latencies_ms.size() - 1) + 0.5);
+    return latencies_ms[index];
+  };
+  sample.p50_latency_ms = percentile(0.5);
+  sample.p95_latency_ms = percentile(0.95);
+  return sample;
+}
+
 /// The connection-count sweep: one server with the cache pre-warmed on
-/// every distinct spec, then 1/4/16/64 connections splitting a fixed
-/// number of pipelined submissions (window of 4 in flight per
-/// connection). Cache hits by construction, so the sweep
-/// measures transport cost — framing, wakeups, fan-in — not engine
-/// time.
+/// every distinct spec, then 1/4/16/64 connections, each pipelining the
+/// same number of submissions (window of 4 in flight per connection),
+/// so every point measures steady-state serving rather than connect().
+/// Each point is sampled kRepeats times. Cache hits by construction, so
+/// the sweep measures transport cost — framing, wakeups, fan-in — not
+/// engine time.
 ConnectionSweepSection RunConnectionSweep() {
   ConnectionSweepSection section;
   const std::vector<ServingJob> jobs = BuildServingJobs();
-  constexpr size_t kTotalJobs = 128;  // Per point; divisible by 64.
-  constexpr size_t kWindow = 4;       // Outstanding per connection.
+  constexpr size_t kJobsPerConnection = 32;
+  constexpr size_t kRepeats = 3;
   constexpr size_t kCounts[] = {1, 4, 16, 64};
 
   eqimpact::serve::ServerOptions server_options;
@@ -1090,100 +1199,32 @@ ConnectionSweepSection RunConnectionSweep() {
   for (size_t connections : kCounts) {
     ConnectionSweepPoint point;
     point.connections = connections;
-    point.num_jobs = kTotalJobs;
-    const size_t per_connection = kTotalJobs / connections;
-
-    std::vector<double> latencies_ms;
-    std::mutex collect_mutex;
-    bool ok = true;
-    const Clock::time_point start = Clock::now();
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < connections; ++c) {
-      clients.emplace_back([&, c] {
-        eqimpact::serve::Client client;
-        std::string error;
-        if (!client.Connect(server.port(), &error)) {
-          std::lock_guard<std::mutex> lock(collect_mutex);
-          ok = false;
-          return;
-        }
-        // Pipelined submission: keep up to kWindow requests in
-        // flight, matching results back to their spec by id.
-        struct Pending {
-          size_t spec = 0;
-          Clock::time_point sent;
-        };
-        std::map<std::string, Pending> inflight;
-        std::vector<double> local_latencies;
-        bool local_ok = true;
-        size_t next = 0;
-        size_t done = 0;
-        while (done < per_connection && local_ok) {
-          while (next < per_connection && inflight.size() < kWindow) {
-            const size_t spec = (c + next) % jobs.size();
-            const std::string id =
-                "c" + std::to_string(c) + "-" + std::to_string(next);
-            // Splice the id into the shared request line.
-            std::string request = "{\"id\": \"" + id + "\", " +
-                                  jobs[spec].request.substr(1);
-            Pending pending;
-            pending.spec = spec;
-            pending.sent = Clock::now();
-            inflight.emplace(id, pending);
-            if (!client.Send(request)) {
-              local_ok = false;
-              break;
-            }
-            ++next;
-          }
-          eqimpact::serve::ClientEvent event;
-          if (!client.ReadEvent(&event, &error)) {
-            local_ok = false;
-            break;
-          }
-          if (event.event != "result" && event.event != "error") {
-            continue;
-          }
-          auto found = inflight.find(event.id);
-          if (found == inflight.end() || event.event == "error" ||
-              event.payload != baseline[found->second.spec]) {
-            local_ok = false;
-            break;
-          }
-          local_latencies.push_back(
-              SecondsSince(found->second.sent) * 1e3);
-          inflight.erase(found);
-          ++done;
-        }
-        std::lock_guard<std::mutex> lock(collect_mutex);
-        if (!local_ok) ok = false;
-        latencies_ms.insert(latencies_ms.end(), local_latencies.begin(),
-                            local_latencies.end());
-      });
+    point.jobs_per_connection = kJobsPerConnection;
+    point.num_jobs = connections * kJobsPerConnection;
+    point.repeats = kRepeats;
+    std::vector<double> rates, p50s, p95s;
+    for (size_t r = 0; r < kRepeats; ++r) {
+      const ConnectionSweepSample sample = RunConnectionSweepSample(
+          server.port(), jobs, baseline, connections, kJobsPerConnection);
+      point.payloads_match = point.payloads_match && sample.payloads_match;
+      rates.push_back(sample.jobs_per_sec);
+      p50s.push_back(sample.p50_latency_ms);
+      p95s.push_back(sample.p95_latency_ms);
     }
-    for (std::thread& client : clients) client.join();
-    point.wall_seconds = SecondsSince(start);
-    point.payloads_match = ok && latencies_ms.size() == kTotalJobs;
-    point.jobs_per_sec =
-        point.wall_seconds > 0.0
-            ? static_cast<double>(kTotalJobs) / point.wall_seconds
-            : 0.0;
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    auto percentile = [&latencies_ms](double p) {
-      if (latencies_ms.empty()) return 0.0;
-      const size_t index = static_cast<size_t>(
-          p * static_cast<double>(latencies_ms.size() - 1) + 0.5);
-      return latencies_ms[index];
-    };
-    point.p50_latency_ms = percentile(0.5);
-    point.p95_latency_ms = percentile(0.95);
+    point.jobs_per_sec = MedianOf(rates);
+    point.jobs_per_sec_min = *std::min_element(rates.begin(), rates.end());
+    point.jobs_per_sec_max = *std::max_element(rates.begin(), rates.end());
+    point.p50_latency_ms = MedianOf(p50s);
+    point.p95_latency_ms = MedianOf(p95s);
     section.payloads_match =
         section.payloads_match && point.payloads_match;
     std::fprintf(stderr,
-                 "  connection_sweep conns=%zu %zu jobs %.3fs "
-                 "(%.1f jobs/s, p50 %.2fms, p95 %.2fms, payloads %s)\n",
-                 connections, kTotalJobs, point.wall_seconds,
-                 point.jobs_per_sec, point.p50_latency_ms,
+                 "  connection_sweep conns=%zu x %zu jobs, %zu repeats "
+                 "(median %.1f jobs/s [%.1f, %.1f], p50 %.2fms, "
+                 "p95 %.2fms, payloads %s)\n",
+                 connections, kJobsPerConnection, kRepeats,
+                 point.jobs_per_sec, point.jobs_per_sec_min,
+                 point.jobs_per_sec_max, point.p50_latency_ms,
                  point.p95_latency_ms,
                  point.payloads_match ? "equal" : "MISMATCH");
     section.points.push_back(point);
@@ -1874,18 +1915,21 @@ int main(int argc, char** argv) {
               serving_section.p95_latency_ms);
   // The sweep fields are additive, so the section's digest
   // comparability (num_jobs/num_distinct keyed) does not depend on
-  // them. Points keep their "transport" key: the regression checker
-  // matches them against older snapshots by (transport, connections).
+  // them. The regression checker matches points against older snapshots
+  // by (transport, connections, jobs_per_connection).
   std::printf("    \"connection_sweep\": [\n");
   for (size_t i = 0; i < connection_sweep.points.size(); ++i) {
     const ConnectionSweepPoint& p = connection_sweep.points[i];
     std::printf(
         "      {\"transport\": \"epoll\", \"connections\": %zu, "
-        "\"num_jobs\": %zu, \"wall_seconds\": %.6f, "
-        "\"jobs_per_sec\": %.3f, \"p50_latency_ms\": %.3f, "
-        "\"p95_latency_ms\": %.3f, \"payloads_match\": %s}%s\n",
-        p.connections, p.num_jobs, p.wall_seconds,
-        p.jobs_per_sec, p.p50_latency_ms, p.p95_latency_ms,
+        "\"jobs_per_connection\": %zu, \"num_jobs\": %zu, "
+        "\"repeats\": %zu, \"jobs_per_sec\": %.3f, "
+        "\"jobs_per_sec_min\": %.3f, \"jobs_per_sec_max\": %.3f, "
+        "\"p50_latency_ms\": %.3f, \"p95_latency_ms\": %.3f, "
+        "\"payloads_match\": %s}%s\n",
+        p.connections, p.jobs_per_connection, p.num_jobs, p.repeats,
+        p.jobs_per_sec, p.jobs_per_sec_min, p.jobs_per_sec_max,
+        p.p50_latency_ms, p.p95_latency_ms,
         p.payloads_match ? "true" : "false",
         i + 1 < connection_sweep.points.size() ? "," : "");
   }

@@ -65,9 +65,10 @@ Checks, in order of severity:
    folded connection_sweep_payloads_match — is checked at the same
    severity, because each point byte-compares every served payload
    against the pre-sweep baseline. Points are keyed by (transport,
-   connections); the server has one transport, "epoll", and points of
-   any other transport in an older snapshot (PR 10 also swept the
-   since-removed "threads" transport) have no fresh counterpart and are
+   connections, jobs_per_connection); the server has one transport,
+   "epoll". Points of an older snapshot that split a fixed job total
+   across the connections (no jobs_per_connection key) or swept the
+   since-removed "threads" transport have no fresh counterpart and are
    not compared. Snapshots predating the sweep simply lack the keys and
    are skipped. The PR 9
    markov_scaling section adds three more: sparse_matches_dense (the
@@ -191,6 +192,13 @@ def check_rate(name, fresh_rate, snapshot_rate, warnings):
             f"{name}: {fresh_rate:.1f} vs snapshot {snapshot_rate:.1f} "
             f"({(1.0 - ratio) * 100.0:.0f}% slower)"
         )
+
+
+def sweep_key(point):
+    """Connection-sweep match key; None jobs_per_connection (fixed-total
+    points of older snapshots) never matches a fresh point."""
+    return (point.get("transport"), point.get("connections"),
+            point.get("jobs_per_connection"))
 
 
 def headline_rates(fresh, snapshot):
@@ -585,12 +593,12 @@ def main(argv):
         snapshot.get("serving_scaling", {}).get("jobs_per_sec"),
         warnings,
     )
-    # Connection-sweep rates, per (transport, connection count). Warn
-    # only, like every rate; an older snapshot without the sweep has no
-    # reference points and contributes nothing.
+    # Connection-sweep rates, per (transport, connection count, jobs
+    # per connection). Warn only, like every rate, and only when the
+    # fresh [min, max] lies wholly below the snapshot's: each point is a
+    # median over repeats, and overlapping ranges are noise.
     snapshot_sweep = {
-        (point.get("transport"), point.get("connections")):
-            point.get("jobs_per_sec")
+        sweep_key(point): point
         for point in snapshot.get("serving_scaling", {}).get(
             "connection_sweep", []
         )
@@ -598,12 +606,17 @@ def main(argv):
     for point in fresh.get("serving_scaling", {}).get(
         "connection_sweep", []
     ):
-        key = (point.get("transport"), point.get("connections"))
+        key = sweep_key(point)
+        reference = snapshot_sweep.get(key)
+        if reference is None or point.get("jobs_per_sec_max", 0.0) >= (
+            reference.get("jobs_per_sec_min", 0.0)
+        ):
+            continue
         check_rate(
-            f"serving_scaling connection_sweep jobs/sec "
-            f"({key[0]}, {key[1]} conns)",
+            f"serving_scaling connection_sweep median jobs/sec "
+            f"({key[0]}, {key[1]} conns x {key[2]} jobs)",
             point.get("jobs_per_sec"),
-            snapshot_sweep.get(key),
+            reference.get("jobs_per_sec"),
             warnings,
         )
     # markov_scaling rates, per cell count (sparse matvec and build are

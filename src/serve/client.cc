@@ -1,6 +1,7 @@
 #include "serve/client.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -88,6 +89,10 @@ bool Client::Connect(uint16_t port, std::string* error) {
     *error = std::string("socket: ") + std::strerror(errno);
     return false;
   }
+  // A request line is one small write; don't hold it behind the
+  // previous one's ACK (Nagle).
+  const int no_delay = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &no_delay, sizeof(no_delay));
   sockaddr_in address;
   std::memset(&address, 0, sizeof(address));
   address.sin_family = AF_INET;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "base/check.h"
 #include "base/fnv1a.h"
@@ -129,10 +130,12 @@ ExperimentResult RunExperiment(Scenario* scenario,
   // and streams its cross-sections into its own accumulator, so parallel
   // output is bitwise-identical to sequential.
   result.trials.resize(options.num_trials);
-  std::vector<stats::AdrAccumulator> trial_impact(
-      options.num_trials,
-      stats::AdrAccumulator(num_groups, num_steps, options.impact_bins,
-                            scenario->impact_lo(), scenario->impact_hi()));
+  std::vector<stats::AdrAccumulator> trial_impact;
+  trial_impact.reserve(options.num_trials);
+  for (size_t t = 0; t < options.num_trials; ++t) {
+    trial_impact.emplace_back(num_groups, num_steps, options.impact_bins,
+                              scenario->impact_lo(), scenario->impact_hi());
+  }
   const runtime::SeedSequence seeds(options.master_seed);
   const bool checkpointing = !options.checkpoint_path.empty();
   runtime::ParallelForOptions dispatch;
@@ -273,8 +276,12 @@ ExperimentResult RunExperiment(Scenario* scenario,
   }
 
   // Aggregation happens strictly after the join, in trial-slot order.
-  for (stats::AdrAccumulator& impact : trial_impact) {
-    result.pooled_impact.Merge(impact);
+  // Merging into the empty pool would copy trial 0, so trial 0 becomes
+  // the pool; each later trial is released once merged.
+  result.pooled_impact = std::move(trial_impact[0]);
+  for (size_t t = 1; t < options.num_trials; ++t) {
+    result.pooled_impact.Merge(trial_impact[t]);
+    trial_impact[t] = stats::AdrAccumulator();
   }
 
   // Per-group across-trial envelopes of the group impact series.

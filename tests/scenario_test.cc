@@ -190,57 +190,89 @@ TEST(CreditScenarioTest, SweepableParametersReachTheLoop) {
 
 // --- Experiment driver: determinism across thread counts --------------------
 
-template <typename MakeScenario>
-void ExpectThreadCountInvariance(MakeScenario make_scenario,
-                                 size_t num_trials) {
-  uint64_t reference = 0;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    auto scenario = make_scenario();
-    sim::ExperimentOptions options;
-    options.num_trials = num_trials;
-    options.master_seed = 33;
-    options.num_threads = threads;
-    sim::ExperimentResult result = RunExperiment(&scenario, options);
-    const uint64_t digest = sim::ExperimentDigest(result);
-    if (threads == 1) {
-      reference = digest;
-    } else {
-      EXPECT_EQ(digest, reference) << "threads=" << threads;
-    }
+// Small configurations of the three registered scenarios, shared by the
+// determinism and pinned-digest tests.
+std::unique_ptr<sim::Scenario> MakeSmallScenario(const std::string& name) {
+  if (name == "credit") {
+    sim::CreditScenarioOptions options;
+    options.loop.num_users = 60;
+    return std::make_unique<sim::CreditScenario>(options);
+  }
+  if (name == "market") {
+    sim::MatchingMarketScenarioOptions options;
+    options.market.num_workers = 60;
+    options.market.rounds = 80;
+    return std::make_unique<sim::MatchingMarketScenario>(options);
+  }
+  sim::EnsembleScenarioOptions options;
+  options.ensemble.num_agents = 12;
+  options.ensemble.steps = 150;
+  options.ensemble.burn_in = 30;
+  return std::make_unique<sim::EnsembleScenario>(options);
+}
+
+uint64_t SmallExperimentDigest(const std::string& name, size_t num_trials,
+                               size_t num_threads) {
+  auto scenario = MakeSmallScenario(name);
+  sim::ExperimentOptions options;
+  options.num_trials = num_trials;
+  options.master_seed = 33;
+  options.num_threads = num_threads;
+  return sim::ExperimentDigest(RunExperiment(scenario.get(), options));
+}
+
+void ExpectThreadCountInvariance(const std::string& name, size_t num_trials) {
+  const uint64_t reference = SmallExperimentDigest(name, num_trials, 1);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    EXPECT_EQ(SmallExperimentDigest(name, num_trials, threads), reference)
+        << "threads=" << threads;
   }
 }
 
 TEST(ExperimentTest, MarketBitwiseDeterministicAtOneTwoEightThreads) {
-  ExpectThreadCountInvariance(
-      [] {
-        sim::MatchingMarketScenarioOptions options;
-        options.market.num_workers = 60;
-        options.market.rounds = 80;
-        return sim::MatchingMarketScenario(options);
-      },
-      5);
+  ExpectThreadCountInvariance("market", 5);
 }
 
 TEST(ExperimentTest, EnsembleBitwiseDeterministicAtOneTwoEightThreads) {
-  ExpectThreadCountInvariance(
-      [] {
-        sim::EnsembleScenarioOptions options;
-        options.ensemble.num_agents = 12;
-        options.ensemble.steps = 150;
-        options.ensemble.burn_in = 30;
-        return sim::EnsembleScenario(options);
-      },
-      6);
+  ExpectThreadCountInvariance("ensemble", 6);
 }
 
 TEST(ExperimentTest, CreditBitwiseDeterministicAtOneTwoEightThreads) {
-  ExpectThreadCountInvariance(
-      [] {
-        sim::CreditScenarioOptions options;
-        options.loop.num_users = 60;
-        return sim::CreditScenario(options);
-      },
-      3);
+  ExpectThreadCountInvariance("credit", 3);
+}
+
+// The determinism tests compare thread counts with each other; these
+// constants pin the bits themselves, so a change to how trials are set up
+// or pooled that moves any bit fails even if it moves it the same way at
+// every thread count.
+TEST(ExperimentTest, DigestsArePinnedAtOneTwoThreeTrials) {
+  struct Pinned {
+    const char* scenario;
+    size_t num_trials;
+    uint64_t digest;
+  };
+  const Pinned kPinned[] = {
+      {"credit", 1, 0x80d941770030aea1ull},
+      {"credit", 2, 0xf420eafdf5c9914cull},
+      {"credit", 3, 0x5813abd301c0efd3ull},
+      {"market", 1, 0xe3bab925085ec4e9ull},
+      {"market", 2, 0x25b2f080d0f9dcb6ull},
+      {"market", 3, 0x23b1cb276731b5e8ull},
+      {"ensemble", 1, 0x539a9ff3a9e60bb1ull},
+      {"ensemble", 2, 0xe3b07d3741773dbbull},
+      {"ensemble", 3, 0xaa0905422c89a55dull},
+  };
+  for (const Pinned& pinned : kPinned) {
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      const uint64_t digest =
+          SmallExperimentDigest(pinned.scenario, pinned.num_trials, threads);
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, digest);
+      EXPECT_EQ(digest, pinned.digest)
+          << pinned.scenario << " trials=" << pinned.num_trials
+          << " threads=" << threads << " digest=" << actual;
+    }
+  }
 }
 
 TEST(ExperimentTest, SharedTrialPoolPathIsBitwiseEquivalent) {

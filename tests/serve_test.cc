@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -720,6 +721,92 @@ TEST(ServeTransport, LargestIdleTimeoutNeverFires) {
   EXPECT_EQ(last.event, "result");
   EXPECT_EQ(server.transport_stats().idle_closes, 0u);
   server.Shutdown();
+}
+
+TEST(ServeTransport, CacheHitsDoNotWaitForDelayedAck) {
+  // A cache hit answers with two small writes, `accepted` then `result`.
+  // Under Nagle the second waits for the client's delayed ACK (~40 ms);
+  // with TCP_NODELAY on the accepted socket a hit takes well under a
+  // millisecond.
+  Server server(SmallServer());
+  ASSERT_TRUE(server.Start());
+
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+  ClientEvent last;
+  ASSERT_TRUE(client.SubmitAndWait(kSmallCreditJob, &last, &error)) << error;
+
+  const size_t kHits = 30;
+  std::vector<double> round_trip_ms;
+  for (size_t i = 0; i < kHits; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.SubmitAndWait(kSmallCreditJob, &last, &error))
+        << error;
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_TRUE(last.cached);
+  }
+  std::nth_element(round_trip_ms.begin(),
+                   round_trip_ms.begin() + kHits / 2, round_trip_ms.end());
+  EXPECT_LT(round_trip_ms[kHits / 2], 10.0);
+  server.Shutdown();
+}
+
+TEST(ServeTransport, ClientRequestsDoNotWaitForDelayedAck) {
+  // The client end: two request lines written back to back. Under Nagle
+  // the second waits for the ACK of the first, which a peer with nothing
+  // to send yet delays (~40 ms). A raw listener plays the server so only
+  // the client's socket options are under test.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in address;
+  std::memset(&address, 0, sizeof(address));
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof(address)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t length = sizeof(address);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+                          &length),
+            0);
+
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.Connect(ntohs(address.sin_port), &error)) << error;
+  const int server = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+
+  const size_t kRounds = 30;
+  const std::string reply = "{\"event\": \"result\"}\n";
+  std::vector<double> round_trip_ms;
+  for (size_t i = 0; i < kRounds; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Send(R"({"id": "a"})"));
+    ASSERT_TRUE(client.Send(R"({"id": "b"})"));
+    size_t newlines = 0;
+    while (newlines < 2) {
+      char chunk[256];
+      const ssize_t n = ::recv(server, chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0);
+      newlines += static_cast<size_t>(std::count(chunk, chunk + n, '\n'));
+    }
+    ASSERT_EQ(::send(server, reply.data(), reply.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(reply.size()));
+    ClientEvent event;
+    ASSERT_TRUE(client.ReadEvent(&event, &error)) << error;
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  ::close(server);
+  ::close(listener);
+  std::nth_element(round_trip_ms.begin(),
+                   round_trip_ms.begin() + kRounds / 2, round_trip_ms.end());
+  EXPECT_LT(round_trip_ms[kRounds / 2], 10.0);
 }
 
 TEST(ServeTransport, ConnectionCapRejectsWithTypedError) {
