@@ -7,9 +7,10 @@
 //  * "multi_trial_scaling" — the headline closed-loop workload:
 //    sim::RunMultiTrial dispatched through the runtime layer at thread
 //    counts 1, 2, ..., hardware_concurrency. Reports wall time,
-//    trials/sec, speedup over the sequential run, and a determinism
-//    checksum proving every thread count produced bitwise-identical
-//    results (raw series + streaming accumulator).
+//    trials/sec (median of three runs, with the min and max), speedup
+//    over the sequential run, and a determinism checksum proving every
+//    thread count produced bitwise-identical results (raw series +
+//    streaming accumulator).
 //
 //  * "within_trial_scaling" — one large-cohort trial (default 10^6
 //    users) with the per-user series disabled: the batch engine's
@@ -33,8 +34,9 @@
 //  * "market_scaling" — the matching-market scenario through the
 //    generic scenario/experiment API (sim::MatchingMarketScenario via
 //    sim::RunExperiment): the trial-parallel driver the market gained
-//    in PR 4, swept over thread counts with a sim::ExperimentDigest
-//    proving bitwise-identical aggregates at every thread count.
+//    in PR 4, swept over thread counts (median, min and max trials/sec
+//    of three runs per point) with a sim::ExperimentDigest proving
+//    bitwise-identical aggregates at every thread count.
 //
 //  * "simd_scaling" — the kernel layer (runtime/kernels.h +
 //    rng::Pcg32::FillUniform): every kernel timed through its scalar
@@ -191,19 +193,20 @@ uint64_t Digest(const eqimpact::credit::CreditLoopResult& result,
   return digest.hash();
 }
 
-/// Median-of-3 wall time of `fn` in seconds.
-double TimeIt(const std::function<void()>& fn) {
+/// Wall times of three runs of `fn` in seconds, ascending.
+std::vector<double> TimeThree(const std::function<void()>& fn) {
   std::vector<double> samples;
   for (int rep = 0; rep < 3; ++rep) {
     Clock::time_point start = Clock::now();
     fn();
     samples.push_back(SecondsSince(start));
   }
-  // Median of three.
-  double lo = std::min(std::min(samples[0], samples[1]), samples[2]);
-  double hi = std::max(std::max(samples[0], samples[1]), samples[2]);
-  return samples[0] + samples[1] + samples[2] - lo - hi;
+  std::sort(samples.begin(), samples.end());
+  return samples;
 }
+
+/// Median-of-3 wall time of `fn` in seconds.
+double TimeIt(const std::function<void()>& fn) { return TimeThree(fn)[1]; }
 
 struct MicroResult {
   std::string name;
@@ -370,11 +373,30 @@ std::vector<MicroResult> RunMicroSuite() {
 
 struct ScalingPoint {
   size_t num_threads = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  ///< Median when repeated.
   double items_per_sec = 0.0;
+  /// Rate range over the repeats; printed only when repeats > 1.
+  double items_per_sec_min = 0.0;
+  double items_per_sec_max = 0.0;
+  size_t repeats = 1;
   double speedup = 1.0;
   uint64_t digest = 0;
 };
+
+/// Times `fn` (processing `items` items) three times into `point`: the
+/// median wall time and rate, and the min and max rates, so a reader
+/// (and the regression checker) can tell a slowdown from run-to-run
+/// noise.
+void TimeScalingPoint(size_t items, const std::function<void()>& fn,
+                      ScalingPoint* point) {
+  const std::vector<double> seconds = TimeThree(fn);
+  const double count = static_cast<double>(items);
+  point->repeats = seconds.size();
+  point->seconds = seconds[1];
+  point->items_per_sec = count / seconds[1];
+  point->items_per_sec_min = count / seconds.back();
+  point->items_per_sec_max = count / seconds.front();
+}
 
 /// Synthesizes a training set with the credit loop's feature geometry:
 /// ADR values are rationals d/o with o in 1..19 (exact repeats, as the
@@ -1248,9 +1270,15 @@ void PrintScalingRuns(const std::vector<ScalingPoint>& scaling,
     const ScalingPoint& p = scaling[i];
     std::printf(
         "      {\"num_threads\": %zu, \"wall_seconds\": %.6f, "
-        "\"%s\": %.3f, \"speedup\": %.3f}%s\n",
-        p.num_threads, p.seconds, rate_key, p.items_per_sec, p.speedup,
-        i + 1 < scaling.size() ? "," : "");
+        "\"%s\": %.3f, ",
+        p.num_threads, p.seconds, rate_key, p.items_per_sec);
+    if (p.repeats > 1) {
+      std::printf("\"%s_min\": %.3f, \"%s_max\": %.3f, \"repeats\": %zu, ",
+                  rate_key, p.items_per_sec_min, rate_key,
+                  p.items_per_sec_max, p.repeats);
+    }
+    std::printf("\"speedup\": %.3f}%s\n", p.speedup,
+                i + 1 < scaling.size() ? "," : "");
   }
   std::printf("    ]\n");
 }
@@ -1506,17 +1534,20 @@ int main(int argc, char** argv) {
     eqimpact::sim::MultiTrialResult result;
     ScalingPoint point;
     point.num_threads = threads;
-    point.seconds =
-        TimeIt([&options, &result] { result = RunMultiTrial(options); });
-    point.items_per_sec = static_cast<double>(num_trials) / point.seconds;
+    TimeScalingPoint(
+        static_cast<size_t>(num_trials),
+        [&options, &result] { result = RunMultiTrial(options); }, &point);
     point.digest = Digest(result);
     if (threads == 1) sequential_seconds = point.seconds;
     point.speedup =
         point.seconds > 0.0 ? sequential_seconds / point.seconds : 0.0;
     scaling.push_back(point);
     std::fprintf(stderr,
-                 "  multi_trial threads=%zu %.3fs (%.2f trials/s, %.2fx)\n",
-                 threads, point.seconds, point.items_per_sec, point.speedup);
+                 "  multi_trial threads=%zu %.3fs (median %.2f trials/s "
+                 "[%.2f, %.2f], %.2fx)\n",
+                 threads, point.seconds, point.items_per_sec,
+                 point.items_per_sec_min, point.items_per_sec_max,
+                 point.speedup);
   }
   const bool multi_deterministic = AllDigestsEqual(scaling);
 
@@ -1714,19 +1745,24 @@ int main(int argc, char** argv) {
     eqimpact::sim::ExperimentResult market_result;
     ScalingPoint point;
     point.num_threads = threads;
-    point.seconds = TimeIt([&scenario, &experiment_options, &market_result] {
-      market_result =
-          eqimpact::sim::RunExperiment(&scenario, experiment_options);
-    });
-    point.items_per_sec = static_cast<double>(num_trials) / point.seconds;
+    TimeScalingPoint(
+        static_cast<size_t>(num_trials),
+        [&scenario, &experiment_options, &market_result] {
+          market_result =
+              eqimpact::sim::RunExperiment(&scenario, experiment_options);
+        },
+        &point);
     point.digest = eqimpact::sim::ExperimentDigest(market_result);
     if (threads == 1) market_sequential = point.seconds;
     point.speedup =
         point.seconds > 0.0 ? market_sequential / point.seconds : 0.0;
     market_runs.push_back(point);
     std::fprintf(stderr,
-                 "  market threads=%zu %.3fs (%.2f trials/s, %.2fx)\n",
-                 threads, point.seconds, point.items_per_sec, point.speedup);
+                 "  market threads=%zu %.3fs (median %.2f trials/s "
+                 "[%.2f, %.2f], %.2fx)\n",
+                 threads, point.seconds, point.items_per_sec,
+                 point.items_per_sec_min, point.items_per_sec_max,
+                 point.speedup);
   }
   const bool market_deterministic = AllDigestsEqual(market_runs);
 

@@ -88,7 +88,12 @@ Checks, in order of severity:
    except when either run reports hardware_concurrency == 1 — a 1-core
    machine oversubscribes every multi-thread point (the committed
    snapshots are from a 1-core container), so its sweep timings carry no
-   signal and the thread-sweep comparison is skipped with a note.
+   signal and the thread-sweep comparison is skipped with a note. A
+   point that reports a [min, max] range over repeated samples (KEY_min
+   and KEY_max next to its median KEY: the multi_trial_scaling and
+   market_scaling runs, the connection_sweep points) warns only when the
+   fresh range lies wholly below the snapshot's; overlapping ranges are
+   noise. Points without a range on either side compare medians alone.
 
 A missing or unparsable input file is a usage/environment error, not a
 bench regression: the check exits 1 with a one-line message naming the
@@ -130,11 +135,16 @@ def load_json_or_die(path, label):
         sys.exit(1)
 
 
-def sequential_rate(section, key):
+def sequential_run(section):
     for run in section.get("runs", []):
         if run.get("num_threads") == 1:
-            return run.get(key)
+            return run
     return None
+
+
+def sequential_rate(section, key):
+    run = sequential_run(section)
+    return run.get(key) if run else None
 
 
 def largest_cells_rate(section, key):
@@ -192,6 +202,31 @@ def check_rate(name, fresh_rate, snapshot_rate, warnings):
             f"{name}: {fresh_rate:.1f} vs snapshot {snapshot_rate:.1f} "
             f"({(1.0 - ratio) * 100.0:.0f}% slower)"
         )
+
+
+def ranges_overlap(fresh_point, snapshot_point, key):
+    """True when both points carry a repeated-sample [KEY_min, KEY_max]
+    range and the fresh one is not wholly below the snapshot's."""
+    fresh_max = fresh_point.get(f"{key}_max")
+    snapshot_min = snapshot_point.get(f"{key}_min")
+    return (
+        fresh_max is not None
+        and snapshot_min is not None
+        and fresh_max >= snapshot_min
+    )
+
+
+def check_point_rate(name, fresh_point, snapshot_point, key, warnings):
+    """check_rate on two points' KEY, unless their ranges overlap."""
+    if (
+        fresh_point is None
+        or snapshot_point is None
+        or ranges_overlap(fresh_point, snapshot_point, key)
+    ):
+        return
+    check_rate(
+        name, fresh_point.get(key), snapshot_point.get(key), warnings
+    )
 
 
 def sweep_key(point):
@@ -307,17 +342,18 @@ def write_step_summary(fresh, snapshot, digest_sections, errors, warnings):
 def check_thread_sweep(section_name, fresh, snapshot, rate_key, warnings):
     """Compares a scaling section's rates per matching thread count."""
     snapshot_runs = {
-        run.get("num_threads"): run.get(rate_key)
+        run.get("num_threads"): run
         for run in snapshot.get(section_name, {}).get("runs", [])
     }
     for run in fresh.get(section_name, {}).get("runs", []):
         threads = run.get("num_threads")
         if threads == 1:
             continue  # Sequential rates are compared separately.
-        check_rate(
+        check_point_rate(
             f"{section_name} {rate_key} ({threads} threads)",
-            run.get(rate_key),
+            run,
             snapshot_runs.get(threads),
+            rate_key,
             warnings,
         )
 
@@ -477,36 +513,22 @@ def main(argv):
 
     # 3. Throughput trend (warnings only).
     warnings = []
-    check_rate(
-        "multi_trial trials/sec (1 thread)",
-        sequential_rate(fresh.get("multi_trial_scaling", {}), "trials_per_sec"),
-        sequential_rate(
-            snapshot.get("multi_trial_scaling", {}), "trials_per_sec"
-        ),
-        warnings,
-    )
-    check_rate(
-        "within_trial user-years/sec (1 thread)",
-        sequential_rate(
-            fresh.get("within_trial_scaling", {}), "user_years_per_sec"
-        ),
-        sequential_rate(
-            snapshot.get("within_trial_scaling", {}), "user_years_per_sec"
-        ),
-        warnings,
-    )
-    check_rate(
-        "fit_scaling fits/sec (1 thread)",
-        sequential_rate(fresh.get("fit_scaling", {}), "fits_per_sec"),
-        sequential_rate(snapshot.get("fit_scaling", {}), "fits_per_sec"),
-        warnings,
-    )
-    check_rate(
-        "market_scaling trials/sec (1 thread)",
-        sequential_rate(fresh.get("market_scaling", {}), "trials_per_sec"),
-        sequential_rate(snapshot.get("market_scaling", {}), "trials_per_sec"),
-        warnings,
-    )
+    for name, section, key in (
+        ("multi_trial trials/sec (1 thread)", "multi_trial_scaling",
+         "trials_per_sec"),
+        ("within_trial user-years/sec (1 thread)", "within_trial_scaling",
+         "user_years_per_sec"),
+        ("fit_scaling fits/sec (1 thread)", "fit_scaling", "fits_per_sec"),
+        ("market_scaling trials/sec (1 thread)", "market_scaling",
+         "trials_per_sec"),
+    ):
+        check_point_rate(
+            name,
+            sequential_run(fresh.get(section, {})),
+            sequential_run(snapshot.get(section, {})),
+            key,
+            warnings,
+        )
 
     # Thread-sweep points: meaningless when either side ran on one core
     # (every multi-thread point is oversubscribed there), so suppressed.
@@ -607,16 +629,12 @@ def main(argv):
         "connection_sweep", []
     ):
         key = sweep_key(point)
-        reference = snapshot_sweep.get(key)
-        if reference is None or point.get("jobs_per_sec_max", 0.0) >= (
-            reference.get("jobs_per_sec_min", 0.0)
-        ):
-            continue
-        check_rate(
+        check_point_rate(
             f"serving_scaling connection_sweep median jobs/sec "
             f"({key[0]}, {key[1]} conns x {key[2]} jobs)",
-            point.get("jobs_per_sec"),
-            reference.get("jobs_per_sec"),
+            point,
+            snapshot_sweep.get(key),
+            "jobs_per_sec",
             warnings,
         )
     # markov_scaling rates, per cell count (sparse matvec and build are

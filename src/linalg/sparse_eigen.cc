@@ -227,12 +227,18 @@ SubdominantResult AdjointSubdominantModulus(const SparseMatrix& adjoint,
     return result;
   }
 
-  // Deflated adjoint: B x = P^T x - pi (1^T x).
+  // Deflated adjoint: B x = P^T x - pi (1^T x). Every Krylov vector has
+  // size n (the matvec checks its operand against the operator), so the
+  // inner loops below run over raw storage.
+  const double* pi = stationary.data().data();
   const auto apply_deflated = [&](const Vector& v) {
     Vector out = adjoint.Multiply(v, options.product);
+    EQIMPACT_CHECK_EQ(out.size(), n);
+    const double* vv = v.data().data();
+    double* ov = out.mutable_data().data();
     double mass = 0.0;
-    for (size_t i = 0; i < n; ++i) mass += v[i];
-    for (size_t i = 0; i < n; ++i) out[i] -= stationary[i] * mass;
+    for (size_t i = 0; i < n; ++i) mass += vv[i];
+    for (size_t i = 0; i < n; ++i) ov[i] -= pi[i] * mass;
     return out;
   };
 
@@ -260,11 +266,14 @@ SubdominantResult AdjointSubdominantModulus(const SparseMatrix& adjoint,
   size_t steps = 0;
   for (size_t j = 0; j < m; ++j) {
     Vector w = apply_deflated(q[j]);
+    double* wv = w.mutable_data().data();
     // Modified Gram-Schmidt.
     for (size_t i = 0; i <= j; ++i) {
-      const double hij = Dot(q[i], w);
+      const double* qi = q[i].data().data();
+      double hij = 0.0;
+      for (size_t t = 0; t < n; ++t) hij += qi[t] * wv[t];
       h(i, j) = hij;
-      for (size_t t = 0; t < n; ++t) w[t] -= hij * q[i][t];
+      for (size_t t = 0; t < n; ++t) wv[t] -= hij * qi[t];
     }
     steps = j + 1;
     const double norm = w.Norm2();

@@ -1,7 +1,9 @@
 #include "market/matching_market.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "base/check.h"
 #include "rng/random.h"
@@ -15,12 +17,14 @@ namespace {
 /// Draws `slots` workers from the unmatched pool without replacement,
 /// uniformly when `weights` is empty, else with probability proportional
 /// to each worker's weight (iterative roulette on the shrinking pool —
-/// O(slots * pool), deterministic in the rng stream).
+/// O(slots * pool), deterministic in the rng stream). `pool_buffer` is
+/// caller-owned scratch, overwritten.
 void FillExploreSlots(size_t slots, const std::vector<double>& weights,
-                      rng::Random* match_rng, std::vector<uint8_t>* matched) {
+                      rng::Random* match_rng, std::vector<uint8_t>* matched,
+                      std::vector<size_t>* pool_buffer) {
   const size_t n = matched->size();
-  std::vector<size_t> pool;
-  pool.reserve(n);
+  std::vector<size_t>& pool = *pool_buffer;
+  pool.clear();
   for (size_t i = 0; i < n; ++i) {
     if (!(*matched)[i]) pool.push_back(i);
   }
@@ -77,6 +81,21 @@ void FillExploreSlots(size_t slots, const std::vector<double>& weights,
   }
 }
 
+/// A worker's rank key for one round: its reputation and its position in
+/// the round's shuffled order.
+struct RankKey {
+  double reputation;
+  size_t position;
+};
+
+/// The round's ranking as a strict total order: higher reputation first,
+/// ties to the earlier shuffled position. A stable sort of the shuffled
+/// order by reputation puts workers exactly in this order.
+bool RanksBefore(const RankKey& a, const RankKey& b) {
+  if (a.reputation != b.reputation) return a.reputation > b.reputation;
+  return a.position < b.position;
+}
+
 }  // namespace
 
 MatchingMarketResult RunMatchingMarket(MatchingRule rule,
@@ -93,7 +112,11 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   EQIMPACT_CHECK(options.exploration >= 0.0 && options.exploration <= 1.0);
   EQIMPACT_CHECK_GT(options.rounds, 0u);
   EQIMPACT_CHECK(options.base_skill > 0.0 && options.base_skill < 1.0);
-  EQIMPACT_CHECK_GE(options.prior_weight, 0.0);
+  // A zero, infinite or NaN prior makes an unrated worker's reputation
+  // NaN, which has no place in the round's ranking order.
+  EQIMPACT_CHECK(options.prior_weight > 0.0 &&
+                 std::isfinite(options.prior_weight));
+  EQIMPACT_CHECK(std::isfinite(options.prior_mean));
 
   const size_t n = options.num_workers;
   const size_t capacity = std::max<size_t>(
@@ -120,13 +143,22 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   std::vector<double> rating_count(n, options.prior_weight);
   std::vector<double> rating_sum(n, options.prior_weight * options.prior_mean);
   std::vector<int64_t> matches(n, 0);
+  // The filter's output, refreshed for each worker a round rates.
+  std::vector<double> reputation(n);
+  for (size_t i = 0; i < n; ++i) {
+    reputation[i] = rating_sum[i] / rating_count[i];
+  }
 
   // Observer-steerable controls, persistent across rounds.
   RoundControls controls;
   controls.exploration = options.exploration;
   std::vector<double> running_rate(n, 0.0);
 
+  // Per-round buffers, allocated once.
   std::vector<size_t> order(n);
+  std::vector<RankKey> ranked(n);
+  std::vector<size_t> pool;
+  pool.reserve(n);
   std::vector<uint8_t> matched(n);
   for (size_t round = 0; round < options.rounds; ++round) {
     std::fill(matched.begin(), matched.end(), 0);
@@ -151,18 +183,17 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
     }
     const size_t exploit_slots = capacity - explore_slots;
 
-    // Exploitation: the highest-reputation workers, random tie-break.
+    // Exploitation: the exploit_slots highest-reputation workers, ties
+    // broken by a random shuffle. Only the set matters, not its order, so
+    // a linear-time selection under RanksBefore picks exactly the workers
+    // a stable sort of the shuffled order would put first.
     std::iota(order.begin(), order.end(), 0u);
-    match_rng.Shuffle(&order);  // Random tie-break before the stable sort.
-    std::stable_sort(order.begin(), order.end(),
-                     [&rating_sum, &rating_count](size_t a, size_t b) {
-                       return rating_sum[a] / rating_count[a] >
-                              rating_sum[b] / rating_count[b];
-                     });
-    size_t filled = 0;
-    for (size_t rank = 0; rank < n && filled < exploit_slots; ++rank) {
-      matched[order[rank]] = 1;
-      ++filled;
+    match_rng.Shuffle(&order);
+    for (size_t p = 0; p < n; ++p) ranked[p] = {reputation[order[p]], p};
+    std::nth_element(ranked.begin(), ranked.begin() + exploit_slots,
+                     ranked.end(), RanksBefore);
+    for (size_t rank = 0; rank < exploit_slots; ++rank) {
+      matched[order[ranked[rank].position]] = 1;
     }
     // Exploration: lottery over the not-yet-matched workers, uniform or
     // weighted per the observer's controls.
@@ -172,7 +203,7 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
         for (double w : controls.explore_weights) EQIMPACT_CHECK_GE(w, 0.0);
       }
       FillExploreSlots(explore_slots, controls.explore_weights, &match_rng,
-                       &matched);
+                       &matched, &pool);
     }
 
     // Outcomes and the rating filter update (only matched workers are
@@ -183,6 +214,7 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
       bool success = outcome_rng.Bernoulli(result.skill[i]);
       rating_count[i] += 1.0;
       rating_sum[i] += success ? 1.0 : 0.0;
+      reputation[i] = rating_sum[i] / rating_count[i];
     }
 
     if (observer) {
@@ -196,14 +228,13 @@ MatchingMarketResult RunMatchingMarket(MatchingRule rule,
   }
 
   result.match_rate.resize(n);
-  result.reputation.resize(n);
   double total_rate = 0.0;
   for (size_t i = 0; i < n; ++i) {
     result.match_rate[i] = static_cast<double>(matches[i]) /
                            static_cast<double>(options.rounds);
-    result.reputation[i] = rating_sum[i] / rating_count[i];
     total_rate += result.match_rate[i];
   }
+  result.reputation = std::move(reputation);
   result.mean_match_rate = total_rate / static_cast<double>(n);
   result.match_rate_gini = stats::GiniCoefficient(result.match_rate);
   result.final_exploration = std::clamp(controls.exploration, 0.0, 1.0);

@@ -7,6 +7,32 @@
 namespace eqimpact {
 namespace stats {
 
+void BinCounts::Assign(size_t size) {
+  wide_.clear();
+  wide_.shrink_to_fit();
+  narrow_.assign(size, 0);
+}
+
+void BinCounts::Widen() {
+  wide_.assign(narrow_.begin(), narrow_.end());
+  narrow_.clear();
+  narrow_.shrink_to_fit();
+}
+
+std::vector<int64_t> BinCounts::ToVector() const {
+  if (!wide_.empty()) return wide_;
+  return std::vector<int64_t>(narrow_.begin(), narrow_.end());
+}
+
+bool BinCounts::FromVector(const std::vector<int64_t>& values) {
+  Assign(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (values[i] < 0) return false;
+    Add(i, values[i]);
+  }
+  return true;
+}
+
 AdrAccumulator::AdrAccumulator(size_t num_groups, size_t num_steps,
                                size_t num_bins, double lo, double hi)
     : num_groups_(num_groups),
@@ -20,7 +46,7 @@ AdrAccumulator::AdrAccumulator(size_t num_groups, size_t num_steps,
   EQIMPACT_CHECK_LT(lo, hi);
   bin_width_ = (hi - lo) / static_cast<double>(num_bins);
   stats_.assign(num_steps * num_groups, RunningStats());
-  bin_counts_.assign(num_steps * num_groups * num_bins, 0);
+  bin_counts_.Assign(num_steps * num_groups * num_bins);
 }
 
 size_t AdrAccumulator::CellIndex(size_t k, size_t g) const {
@@ -39,7 +65,7 @@ size_t AdrAccumulator::BinIndex(double value) const {
 void AdrAccumulator::Add(size_t k, size_t g, double value) {
   size_t cell = CellIndex(k, g);
   stats_[cell].Add(value);
-  ++bin_counts_[cell * num_bins_ + BinIndex(value)];
+  bin_counts_.Add(cell * num_bins_ + BinIndex(value), 1);
 }
 
 void AdrAccumulator::AddCrossSection(size_t k,
@@ -47,13 +73,13 @@ void AdrAccumulator::AddCrossSection(size_t k,
                                      const std::vector<uint8_t>& groups) {
   EQIMPACT_CHECK_EQ(values.size(), groups.size());
   EQIMPACT_CHECK_LT(k, num_steps_);
-  std::vector<CrossSectionBlock> blocks(1);
   for (size_t begin = 0; begin < values.size();
        begin += kCrossSectionBlockSize) {
     const size_t count =
         std::min(kCrossSectionBlockSize, values.size() - begin);
-    ReduceCrossSectionBlock(&values[begin], &groups[begin], count, &blocks[0]);
-    AddCrossSectionBlocks(k, blocks);
+    ReduceCrossSectionBlock(&values[begin], &groups[begin], count,
+                            &scratch_block_);
+    MergeBlock(k, scratch_block_);
   }
 }
 
@@ -75,17 +101,19 @@ void AdrAccumulator::ReduceCrossSectionBlock(const double* values,
 void AdrAccumulator::AddCrossSectionBlocks(
     size_t k, const std::vector<CrossSectionBlock>& blocks) {
   EQIMPACT_CHECK_LT(k, num_steps_);
+  for (const CrossSectionBlock& block : blocks) MergeBlock(k, block);
+}
+
+void AdrAccumulator::MergeBlock(size_t k, const CrossSectionBlock& block) {
+  EQIMPACT_CHECK_EQ(block.stats.size(), num_groups_);
+  EQIMPACT_CHECK_EQ(block.bins.size(), num_groups_ * num_bins_);
   RunningStats* step_stats = &stats_[k * num_groups_];
-  int64_t* step_bins = &bin_counts_[k * num_groups_ * num_bins_];
-  for (const CrossSectionBlock& block : blocks) {
-    EQIMPACT_CHECK_EQ(block.stats.size(), num_groups_);
-    EQIMPACT_CHECK_EQ(block.bins.size(), num_groups_ * num_bins_);
-    for (size_t g = 0; g < num_groups_; ++g) {
-      step_stats[g].Merge(block.stats[g]);
-    }
-    for (size_t b = 0; b < block.bins.size(); ++b) {
-      step_bins[b] += block.bins[b];
-    }
+  const size_t step_bins = k * num_groups_ * num_bins_;
+  for (size_t g = 0; g < num_groups_; ++g) {
+    step_stats[g].Merge(block.stats[g]);
+  }
+  for (size_t b = 0; b < block.bins.size(); ++b) {
+    bin_counts_.Add(step_bins + b, block.bins[b]);
   }
 }
 
@@ -102,7 +130,7 @@ void AdrAccumulator::Merge(const AdrAccumulator& other) {
   EQIMPACT_CHECK_EQ(hi_, other.hi_);
   for (size_t c = 0; c < stats_.size(); ++c) stats_[c].Merge(other.stats_[c]);
   for (size_t b = 0; b < bin_counts_.size(); ++b) {
-    bin_counts_[b] += other.bin_counts_[b];
+    bin_counts_.Add(b, other.bin_counts_[b]);
   }
 }
 
@@ -134,7 +162,8 @@ double AdrAccumulator::StepBinFraction(size_t k, size_t b) const {
          static_cast<double>(total);
 }
 
-double AdrAccumulator::QuantileFromBins(double p, const int64_t* bins,
+double AdrAccumulator::QuantileFromBins(double p,
+                                        const std::vector<int64_t>& bins,
                                         int64_t total, double min_value,
                                         double max_value) const {
   if (total == 0) return 0.0;
@@ -160,9 +189,11 @@ double AdrAccumulator::ApproxQuantile(size_t k, size_t g, double p) const {
   size_t cell = CellIndex(k, g);
   const RunningStats& cell_stats = stats_[cell];
   if (cell_stats.count() == 0) return 0.0;
-  // The cell's bins are contiguous in bin_counts_; no copy needed.
-  return QuantileFromBins(p, &bin_counts_[cell * num_bins_],
-                          cell_stats.count(), cell_stats.Min(),
+  std::vector<int64_t> bins(num_bins_);
+  for (size_t b = 0; b < num_bins_; ++b) {
+    bins[b] = bin_counts_[cell * num_bins_ + b];
+  }
+  return QuantileFromBins(p, bins, cell_stats.count(), cell_stats.Min(),
                           cell_stats.Max());
 }
 
@@ -182,7 +213,7 @@ double AdrAccumulator::StepApproxQuantile(size_t k, double p) const {
       bins[b] += bin_count(k, g, b);
     }
   }
-  return QuantileFromBins(p, bins.data(), total, min_value, max_value);
+  return QuantileFromBins(p, bins, total, min_value, max_value);
 }
 
 void AdrAccumulator::Serialize(base::BinaryWriter* writer) const {
@@ -194,7 +225,7 @@ void AdrAccumulator::Serialize(base::BinaryWriter* writer) const {
   writer->WriteDouble(bin_width_);
   writer->WriteSize(stats_.size());
   for (const RunningStats& cell : stats_) cell.Serialize(writer);
-  writer->WriteI64Vector(bin_counts_);
+  writer->WriteI64Vector(bin_counts_.ToVector());
 }
 
 bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
@@ -210,8 +241,8 @@ bool AdrAccumulator::Deserialize(base::BinaryReader* reader) {
   for (RunningStats& cell : stats_) {
     if (!cell.Deserialize(reader)) return false;
   }
-  bin_counts_ = reader->ReadI64Vector();
-  return reader->ok() && bin_counts_.size() == num_cells * num_bins_;
+  return bin_counts_.FromVector(reader->ReadI64Vector()) && reader->ok() &&
+         bin_counts_.size() == num_cells * num_bins_;
 }
 
 SeriesEnvelope AdrAccumulator::GroupEnvelope(size_t g) const {

@@ -17,6 +17,45 @@ namespace stats {
 /// fix the merge order, and with it the bits of every moment.
 inline constexpr size_t kCrossSectionBlockSize = 4096;
 
+/// Non-negative counters held in 16 bits each until one would pass
+/// 65535, then in 64 bits. A histogram of one trial of a few hundred
+/// units never widens, so its cells cost a quarter of the memory; the
+/// values read back are the same either way.
+class BinCounts {
+ public:
+  /// `size` zero counters, narrow.
+  void Assign(size_t size);
+  size_t size() const { return wide_.empty() ? narrow_.size() : wide_.size(); }
+  int64_t operator[](size_t i) const {
+    return wide_.empty() ? narrow_[i] : wide_[i];
+  }
+  /// Adds `delta` (>= 0) to counter `i`.
+  void Add(size_t i, int64_t delta) {
+    if (wide_.empty()) {
+      const int64_t sum = narrow_[i] + delta;
+      if (sum <= kNarrowMax) {
+        narrow_[i] = static_cast<uint16_t>(sum);
+        return;
+      }
+      Widen();
+    }
+    wide_[i] += delta;
+  }
+  /// The counters as 64-bit values / restored from them (false, leaving
+  /// this unspecified, if any is negative).
+  std::vector<int64_t> ToVector() const;
+  bool FromVector(const std::vector<int64_t>& values);
+
+ private:
+  static constexpr int64_t kNarrowMax = 0xffff;
+  void Widen();
+
+  // Exactly one of the two holds the counters (narrow_ while wide_ is
+  // empty); an empty array is narrow.
+  std::vector<uint16_t> narrow_;
+  std::vector<int64_t> wide_;
+};
+
 /// One block's partial reduction of a cross-section: per-group Welford
 /// moments (indexed by group) and bin counts (group * num_bins + bin).
 struct CrossSectionBlock {
@@ -139,10 +178,13 @@ class AdrAccumulator {
   bool Deserialize(base::BinaryReader* reader);
 
  private:
+  /// Merges one reduced block into step `k`'s cells (callers check k).
+  void MergeBlock(size_t k, const CrossSectionBlock& block);
   size_t CellIndex(size_t k, size_t g) const;
   size_t BinIndex(double value) const;
-  double QuantileFromBins(double p, const int64_t* bins, int64_t total,
-                          double min_value, double max_value) const;
+  double QuantileFromBins(double p, const std::vector<int64_t>& bins,
+                          int64_t total, double min_value,
+                          double max_value) const;
 
   size_t num_groups_ = 0;
   size_t num_steps_ = 0;
@@ -152,7 +194,11 @@ class AdrAccumulator {
   double bin_width_ = 0.0;
   // Indexed [k * num_groups_ + g]; bins additionally by * num_bins_ + b.
   std::vector<RunningStats> stats_;
-  std::vector<int64_t> bin_counts_;
+  BinCounts bin_counts_;
+  // AddCrossSection's reduction buffer, reused across calls so a
+  // per-round observer allocates nothing. Scratch, not state: never
+  // read before ReduceCrossSectionBlock overwrites it, never serialized.
+  CrossSectionBlock scratch_block_;
 };
 
 }  // namespace stats

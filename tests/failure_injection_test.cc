@@ -2,6 +2,8 @@
 // library's documented CHECK contract), not corrupt a fairness audit.
 // One test per representative precondition across the modules.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "credit/adr_filter.h"
@@ -9,6 +11,7 @@
 #include "graph/digraph.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
+#include "market/matching_market.h"
 #include "markov/affine_ifs.h"
 #include "markov/affine_map.h"
 #include "markov/markov_chain.h"
@@ -106,6 +109,27 @@ TEST(FailureInjectionTest, AdrFilterUserIndexOutOfRangeAborts) {
   credit::AdrFilter filter({credit::Race::kWhiteAlone});
   EXPECT_DEATH(filter.Update(1, true, true), "CHECK failed");
   EXPECT_DEATH(filter.UserAdr(7), "CHECK failed");
+}
+
+TEST(FailureInjectionTest, MarketRejectsPriorsThatMakeReputationNaN) {
+  // A zero prior weight makes an unrated worker's reputation 0/0 = NaN,
+  // which breaks the strict order the round's ranking selects under.
+  market::MatchingMarketOptions options;
+  options.num_workers = 4;
+  options.rounds = 2;
+  options.prior_weight = 0.0;
+  EXPECT_DEATH(market::RunMatchingMarket(market::MatchingRule::kTopScore,
+                                         options),
+               "CHECK failed");
+  options.prior_weight = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(market::RunMatchingMarket(market::MatchingRule::kTopScore,
+                                         options),
+               "CHECK failed");
+  options.prior_weight = 1.0;
+  options.prior_mean = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(market::RunMatchingMarket(market::MatchingRule::kTopScore,
+                                         options),
+               "CHECK failed");
 }
 
 TEST(FailureInjectionTest, ForgettingFactorOutOfRangeAborts) {

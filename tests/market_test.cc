@@ -2,11 +2,14 @@
 // market instantiation), the Gini statistic, the drift monitor, and the
 // impact-equalizer intervention.
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/fnv1a.h"
 #include "core/drift_monitor.h"
 #include "core/impact_equalizer.h"
 #include "market/matching_market.h"
@@ -279,6 +282,94 @@ TEST(MatchingMarketTest, RoundsConsumeIndependentSubStreams) {
   MatchingMarketResult b =
       RunMatchingMarket(MatchingRule::kEpsilonGreedy, long_run);
   EXPECT_EQ(a.skill, b.skill);
+}
+
+// --- Bit-for-bit pins ------------------------------------------------------------
+
+struct PinnedMarketCase {
+  const char* name;
+  MatchingRule rule;
+  size_t num_workers;
+  double capacity_fraction;
+  double exploration;
+  bool heterogeneous_skill;
+  /// Steer the lottery with explore_weights = 1 - running match rate
+  /// (zero for a worker matched every round so far).
+  bool weighted_exploration;
+  uint64_t digest;
+};
+
+/// Digest of one 60-round run: every round's matching and every output,
+/// doubles mixed by bit pattern.
+uint64_t PinnedMarketDigest(const PinnedMarketCase& c) {
+  MatchingMarketOptions options;
+  options.num_workers = c.num_workers;
+  options.capacity_fraction = c.capacity_fraction;
+  options.exploration = c.exploration;
+  options.heterogeneous_skill = c.heterogeneous_skill;
+  options.rounds = 60;
+  options.seed = 1901;
+  base::Fnv1a digest;
+  const MatchingMarketResult result = RunMatchingMarket(
+      c.rule, options,
+      [&c, &digest](const market::RoundSnapshot& snapshot,
+                    market::RoundControls* controls) {
+        for (uint8_t m : snapshot.matched) digest.Mix(m);
+        if (!c.weighted_exploration) return;
+        controls->explore_weights.resize(c.num_workers);
+        for (size_t i = 0; i < c.num_workers; ++i) {
+          controls->explore_weights[i] = 1.0 - snapshot.running_match_rate[i];
+        }
+      });
+  digest.MixSeries(result.match_rate);
+  digest.MixSeries(result.reputation);
+  digest.MixSeries(result.skill);
+  digest.MixDouble(result.match_rate_gini);
+  digest.MixDouble(result.mean_match_rate);
+  digest.MixDouble(result.final_exploration);
+  return digest.hash();
+}
+
+TEST(MatchingMarketTest, OutputsArePinnedBitForBit) {
+  // Every rule and both skill modes; uniform and weighted exploration;
+  // capacity 0.5 and 1.0; no exploitation slots (lottery, exploration 1)
+  // and all n of them (top score at full capacity); a one-worker market.
+  // The round's reputation ranking breaks ties by a shuffled position:
+  // any other tie-break (worker index, say) moves these digests, as does
+  // any change in the rng streams the rounds consume.
+  const MatchingRule kTop = MatchingRule::kTopScore;
+  const MatchingRule kEps = MatchingRule::kEpsilonGreedy;
+  const MatchingRule kLottery = MatchingRule::kUniformRandom;
+  const PinnedMarketCase cases[] = {
+      {"top_score", kTop, 40, 0.5, 0.1, false, false, 0x5446fcdf1fbcfce6ull},
+      {"top_score_heterogeneous", kTop, 40, 0.5, 0.1, true, false, 0xb5c603d0dc82d5ecull},
+      {"top_score_full_capacity", kTop, 40, 1.0, 0.1, false, false, 0xeaa696d5f35ed842ull},
+      {"epsilon_greedy", kEps, 40, 0.5, 0.1, false, false, 0x0f11c6c0de1d3dd4ull},
+      {"epsilon_greedy_heterogeneous", kEps, 40, 0.5, 0.25, true, false,
+       0x12c27e1c7aca8e37ull},
+      {"epsilon_greedy_weighted", kEps, 40, 0.5, 0.3, false, true, 0x8c60d3439879d1f4ull},
+      {"epsilon_greedy_weighted_heterogeneous", kEps, 40, 0.5, 0.3, true,
+       true, 0x595c3e56d235eafaull},
+      {"epsilon_greedy_full_capacity", kEps, 40, 1.0, 0.25, false, false,
+       0x2c21a4bf589322c4ull},
+      {"epsilon_greedy_all_explore", kEps, 40, 0.5, 1.0, true, false, 0x8992429d466b8927ull},
+      {"lottery", kLottery, 40, 0.5, 0.1, false, false, 0x3fa36f644f9fe405ull},
+      {"lottery_weighted_heterogeneous", kLottery, 40, 0.5, 0.1, true, true,
+       0xbbfefd43ab52d59dull},
+      {"single_worker_top_score", kTop, 1, 0.5, 0.1, false, false, 0xadbb933f9c0020a4ull},
+      {"single_worker_epsilon_greedy", kEps, 1, 1.0, 0.5, true, false,
+       0x3ed47f0775acdee6ull},
+      {"single_worker_lottery", kLottery, 1, 1.0, 0.1, true, true, 0x4fab0e8c4591c5c8ull},
+  };
+  for (const PinnedMarketCase& c : cases) {
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016" PRIx64 "ull",
+                  PinnedMarketDigest(c));
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "0x%016" PRIx64 "ull",
+                  c.digest);
+    EXPECT_STREQ(actual, expected) << c.name;
+  }
 }
 
 // --- Drift monitor ---------------------------------------------------------------

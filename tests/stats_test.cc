@@ -567,6 +567,35 @@ TEST(AdrAccumulatorTest, SerializeRoundTripIsBitwise) {
   EXPECT_EQ(AccumulatorBytes(restored), AccumulatorBytes(acc));
 }
 
+TEST(AdrAccumulatorTest, BinCountsPast16BitsStayExact) {
+  // Bin counts start in 16 bits and widen when one would pass 65535:
+  // per-value adds, block merges, accumulator merges and a serialized
+  // round trip all cross the boundary with exact counts.
+  stats::AdrAccumulator acc(2, 2, 4);
+  for (int i = 0; i < 70000; ++i) acc.Add(0, 0, 0.1);
+  EXPECT_EQ(acc.bin_count(0, 0, 0), 70000);
+  EXPECT_EQ(acc.bin_count(0, 1, 0), 0);
+
+  stats::AdrAccumulator blocks(2, 2, 4);
+  const std::vector<double> values(stats::kCrossSectionBlockSize, 0.9);
+  const std::vector<uint8_t> groups(values.size(), 1);
+  for (int i = 0; i < 20; ++i) blocks.AddCrossSection(1, values, groups);
+  EXPECT_EQ(blocks.bin_count(1, 1, 3),
+            20 * static_cast<int64_t>(stats::kCrossSectionBlockSize));
+
+  acc.Merge(blocks);
+  EXPECT_EQ(acc.bin_count(0, 0, 0), 70000);
+  EXPECT_EQ(acc.bin_count(1, 1, 3), blocks.bin_count(1, 1, 3));
+  EXPECT_EQ(acc.StepCount(1), blocks.bin_count(1, 1, 3));
+
+  const std::vector<uint8_t> bytes = AccumulatorBytes(acc);
+  stats::AdrAccumulator restored;
+  base::BinaryReader reader(bytes.data(), bytes.size());
+  ASSERT_TRUE(restored.Deserialize(&reader));
+  EXPECT_EQ(AccumulatorBytes(restored), bytes);
+  EXPECT_EQ(restored.bin_count(0, 0, 0), 70000);
+}
+
 TEST(AdrAccumulatorTest, DeserializeRejectsTruncatedBytes) {
   stats::AdrAccumulator acc(2, 2, 4);
   acc.Add(0, 0, 0.5);
