@@ -45,6 +45,10 @@
 //    ("vector_matches_scalar"), and a digest over the scalar outputs
 //    pinning the kernels' numerical behaviour across PRs.
 //
+//    The simd, phi, fold and micro rates below are each the median of
+//    three runs, printed with their min and max (KEY_min, KEY_max,
+//    "repeats") like the market and multi-trial points.
+//
 //  * "phi_scaling" — the pinned normal-CDF kernel (PR 6): scalar
 //    reference vs active vector backend rates on hot-path-shaped
 //    inputs plus adversarial specials, a bit-for-bit gate
@@ -208,19 +212,44 @@ std::vector<double> TimeThree(const std::function<void()>& fn) {
 /// Median-of-3 wall time of `fn` in seconds.
 double TimeIt(const std::function<void()>& fn) { return TimeThree(fn)[1]; }
 
+/// A rate over TimeThree's samples: the median and the range, so a
+/// reader (and the regression checker) can tell a slowdown from noise.
+struct Rate {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// `items` per second over TimeThree's ascending `seconds` (0 for a
+/// zero time).
+Rate RateOf(double items, const std::vector<double>& seconds) {
+  const auto rate = [items](double t) { return t > 0.0 ? items / t : 0.0; };
+  return {rate(seconds[1]), rate(seconds.back()), rate(seconds.front())};
+}
+
+/// Prints `"KEY": median, "KEY_min": min, "KEY_max": max` with no
+/// trailing separator.
+void PrintRate(const char* key, const Rate& rate) {
+  std::printf("\"%s\": %.1f, \"%s_min\": %.1f, \"%s_max\": %.1f", key,
+              rate.median, key, rate.min, key, rate.max);
+}
+
+/// Repeats behind every Rate (TimeThree's sample count).
+constexpr size_t kRateRepeats = 3;
+
 struct MicroResult {
   std::string name;
   double seconds = 0.0;
-  double items_per_sec = 0.0;
+  Rate items_per_sec;
 };
 
 MicroResult Micro(const std::string& name, size_t items,
                   const std::function<void()>& fn) {
   MicroResult r;
   r.name = name;
-  r.seconds = TimeIt(fn);
-  r.items_per_sec = r.seconds > 0.0 ? static_cast<double>(items) / r.seconds
-                                    : 0.0;
+  const std::vector<double> seconds = TimeThree(fn);
+  r.seconds = seconds[1];
+  r.items_per_sec = RateOf(static_cast<double>(items), seconds);
   std::fprintf(stderr, "  micro %-24s %.4fs\n", name.c_str(), r.seconds);
   return r;
 }
@@ -390,12 +419,12 @@ struct ScalingPoint {
 void TimeScalingPoint(size_t items, const std::function<void()>& fn,
                       ScalingPoint* point) {
   const std::vector<double> seconds = TimeThree(fn);
-  const double count = static_cast<double>(items);
+  const Rate rate = RateOf(static_cast<double>(items), seconds);
   point->repeats = seconds.size();
   point->seconds = seconds[1];
-  point->items_per_sec = count / seconds[1];
-  point->items_per_sec_min = count / seconds.back();
-  point->items_per_sec_max = count / seconds.front();
+  point->items_per_sec = rate.median;
+  point->items_per_sec_min = rate.min;
+  point->items_per_sec_max = rate.max;
 }
 
 /// Synthesizes a training set with the credit loop's feature geometry:
@@ -437,8 +466,10 @@ uint64_t CoefficientDigest(const eqimpact::ml::LogisticRegression& model) {
 
 struct SimdKernelPoint {
   std::string name;
-  double scalar_seconds = 0.0;
+  double scalar_seconds = 0.0;  ///< Median, per pass.
   double simd_seconds = 0.0;
+  Rate scalar_rate;  ///< Output values per second.
+  Rate simd_rate;
   bool matches = false;
 };
 
@@ -453,7 +484,8 @@ struct SimdSection {
 /// dispatch on identical inputs, checks the outputs bit for bit, and
 /// mixes the scalar outputs into the section digest. `scalar_fn` and
 /// `simd_fn` must each run `reps` passes filling `out_size` doubles of
-/// their buffer; the recorded seconds are per pass.
+/// their buffer; the recorded seconds are per pass, the rates in output
+/// values per second.
 SimdKernelPoint SimdKernel(const std::string& name, size_t out_size,
                            int reps,
                            const std::function<void(double*)>& scalar_fn,
@@ -463,8 +495,15 @@ SimdKernelPoint SimdKernel(const std::string& name, size_t out_size,
   std::vector<double> simd_out(out_size, 1.0);
   SimdKernelPoint point;
   point.name = name;
-  point.scalar_seconds = TimeIt([&] { scalar_fn(scalar_out.data()); }) / reps;
-  point.simd_seconds = TimeIt([&] { simd_fn(simd_out.data()); }) / reps;
+  const double items = static_cast<double>(out_size) * reps;
+  const std::vector<double> scalar_samples =
+      TimeThree([&] { scalar_fn(scalar_out.data()); });
+  const std::vector<double> simd_samples =
+      TimeThree([&] { simd_fn(simd_out.data()); });
+  point.scalar_seconds = scalar_samples[1] / reps;
+  point.simd_seconds = simd_samples[1] / reps;
+  point.scalar_rate = RateOf(items, scalar_samples);
+  point.simd_rate = RateOf(items, simd_samples);
   point.matches = std::memcmp(scalar_out.data(), simd_out.data(),
                               out_size * sizeof(double)) == 0;
   for (double value : scalar_out) digest->MixDouble(value);
@@ -651,9 +690,9 @@ struct PhiSection {
   bool vector_matches_scalar = false;
   int64_t max_ulp_vs_libm = 0;
   int ulp_bound = eqimpact::base::phi::kMaxUlpVsLibm;
-  double scalar_rate = 0.0;
-  double vector_rate = 0.0;
-  double libm_rate = 0.0;
+  Rate scalar_rate;
+  Rate vector_rate;
+  Rate libm_rate;
   uint64_t digest = 0;
 };
 
@@ -710,24 +749,25 @@ PhiSection RunPhiSuite(size_t num_values) {
 
   std::vector<double> scalar_out(num_values, 0.0);
   std::vector<double> vector_out(num_values, 1.0);
-  const double scalar_seconds = TimeIt([&] {
+  const double items = static_cast<double>(num_values) * kReps;
+  section.scalar_rate = RateOf(items, TimeThree([&] {
     for (int r = 0; r < kReps; ++r) {
       kernels::NormalCdfBatchScalar(x.data(), num_values, scalar_out.data());
     }
-  }) / kReps;
-  const double vector_seconds = TimeIt([&] {
+  }));
+  section.vector_rate = RateOf(items, TimeThree([&] {
     for (int r = 0; r < kReps; ++r) {
       kernels::NormalCdfBatch(x.data(), num_values, vector_out.data());
     }
-  }) / kReps;
+  }));
   double libm_sink = 0.0;
-  const double libm_seconds = TimeIt([&] {
+  section.libm_rate = RateOf(items, TimeThree([&] {
     for (int r = 0; r < kReps; ++r) {
       for (size_t i = 0; i < num_values; ++i) {
         libm_sink += 0.5 * std::erfc(-x[i] / phi::kSqrt2);
       }
     }
-  }) / kReps;
+  }));
   if (libm_sink < 0.0) std::fprintf(stderr, "!");
 
   section.vector_matches_scalar =
@@ -739,25 +779,15 @@ PhiSection RunPhiSuite(size_t num_values) {
     const int64_t ulp = PhiUlpDistance(scalar_out[i], libm);
     if (ulp > section.max_ulp_vs_libm) section.max_ulp_vs_libm = ulp;
   }
-  section.scalar_rate =
-      scalar_seconds > 0.0
-          ? static_cast<double>(num_values) / scalar_seconds
-          : 0.0;
-  section.vector_rate =
-      vector_seconds > 0.0
-          ? static_cast<double>(num_values) / vector_seconds
-          : 0.0;
-  section.libm_rate =
-      libm_seconds > 0.0 ? static_cast<double>(num_values) / libm_seconds
-                         : 0.0;
   Fnv1a digest;
   for (double value : scalar_out) digest.MixDouble(value);
   section.digest = digest.hash();
   std::fprintf(stderr,
                "  phi_scaling scalar %.1fM/s  vector %.1fM/s  libm %.1fM/s "
                "(max ulp %" PRId64 " <= %d: %s, bitwise: %s)\n",
-               section.scalar_rate / 1e6, section.vector_rate / 1e6,
-               section.libm_rate / 1e6, section.max_ulp_vs_libm,
+               section.scalar_rate.median / 1e6,
+               section.vector_rate.median / 1e6,
+               section.libm_rate.median / 1e6, section.max_ulp_vs_libm,
                section.ulp_bound,
                section.max_ulp_vs_libm <= section.ulp_bound ? "ok" : "FAIL",
                section.vector_matches_scalar ? "equal" : "MISMATCH");
@@ -770,8 +800,8 @@ struct FoldSection {
   size_t num_users = 0;
   size_t num_user_years = 0;
   bool dense_matches_hashed = false;
-  double hashed_rate = 0.0;
-  double dense_rate = 0.0;
+  Rate hashed_rate;  ///< User-years per second.
+  Rate dense_rate;
   uint64_t digest = 0;
 };
 
@@ -805,21 +835,19 @@ FoldSection RunFoldSuite() {
                                                          options.first_year) +
                                      1);
   uint64_t digests[2] = {0, 0};
-  double rates[2] = {0.0, 0.0};
+  Rate rates[2];
   for (int dense = 0; dense < 2; ++dense) {
     options.dense_history_fold = dense != 0;
     eqimpact::credit::CreditScoringLoop(options).Run();  // Warm-up.
-    const double seconds = TimeIt([&options] {
-      for (int rep = 0; rep < kReps; ++rep) {
-        eqimpact::credit::CreditScoringLoop(options).Run();
-      }
-    }) / kReps;
+    rates[dense] = RateOf(
+        static_cast<double>(section.num_user_years) * kReps,
+        TimeThree([&options] {
+          for (int rep = 0; rep < kReps; ++rep) {
+            eqimpact::credit::CreditScoringLoop(options).Run();
+          }
+        }));
     digests[dense] =
         FoldDigest(eqimpact::credit::CreditScoringLoop(options).Run());
-    rates[dense] =
-        seconds > 0.0
-            ? static_cast<double>(section.num_user_years) / seconds
-            : 0.0;
   }
   section.hashed_rate = rates[0];
   section.dense_rate = rates[1];
@@ -828,9 +856,10 @@ FoldSection RunFoldSuite() {
   std::fprintf(stderr,
                "  fold_scaling hashed %.2fM user-years/s  dense %.2fM "
                "(%.2fx, digests %s)\n",
-               section.hashed_rate / 1e6, section.dense_rate / 1e6,
-               section.hashed_rate > 0.0
-                   ? section.dense_rate / section.hashed_rate
+               section.hashed_rate.median / 1e6,
+               section.dense_rate.median / 1e6,
+               section.hashed_rate.median > 0.0
+                   ? section.dense_rate.median / section.hashed_rate.median
                    : 0.0,
                section.dense_matches_hashed ? "equal" : "MISMATCH");
   return section;
@@ -1885,24 +1914,15 @@ int main(int argc, char** argv) {
     std::printf("    \"kernels\": [\n");
     for (size_t i = 0; i < simd_section.kernels.size(); ++i) {
       const SimdKernelPoint& point = simd_section.kernels[i];
-      const double scalar_rate =
-          point.scalar_seconds > 0.0
-              ? static_cast<double>(simd_section.num_values) /
-                    point.scalar_seconds
-              : 0.0;
-      const double simd_rate =
-          point.simd_seconds > 0.0
-              ? static_cast<double>(simd_section.num_values) /
-                    point.simd_seconds
-              : 0.0;
-      std::printf(
-          "      {\"name\": \"%s\", \"scalar_elems_per_sec\": %.1f, "
-          "\"simd_elems_per_sec\": %.1f, \"speedup\": %.3f}%s\n",
-          point.name.c_str(), scalar_rate, simd_rate,
-          point.simd_seconds > 0.0
-              ? point.scalar_seconds / point.simd_seconds
-              : 0.0,
-          i + 1 < simd_section.kernels.size() ? "," : "");
+      std::printf("      {\"name\": \"%s\", ", point.name.c_str());
+      PrintRate("scalar_elems_per_sec", point.scalar_rate);
+      std::printf(", ");
+      PrintRate("simd_elems_per_sec", point.simd_rate);
+      std::printf(", \"repeats\": %zu, \"speedup\": %.3f}%s\n", kRateRepeats,
+                  point.simd_seconds > 0.0
+                      ? point.scalar_seconds / point.simd_seconds
+                      : 0.0,
+                  i + 1 < simd_section.kernels.size() ? "," : "");
     }
     std::printf("    ]\n");
     std::printf("  },\n");
@@ -1914,11 +1934,13 @@ int main(int argc, char** argv) {
   std::printf("    \"max_ulp_vs_libm\": %" PRId64 ",\n",
               phi_section.max_ulp_vs_libm);
   std::printf("    \"ulp_bound\": %d,\n", phi_section.ulp_bound);
-  std::printf("    \"scalar_elems_per_sec\": %.1f,\n",
-              phi_section.scalar_rate);
-  std::printf("    \"vector_elems_per_sec\": %.1f,\n",
-              phi_section.vector_rate);
-  std::printf("    \"libm_elems_per_sec\": %.1f,\n", phi_section.libm_rate);
+  std::printf("    ");
+  PrintRate("scalar_elems_per_sec", phi_section.scalar_rate);
+  std::printf(",\n    ");
+  PrintRate("vector_elems_per_sec", phi_section.vector_rate);
+  std::printf(",\n    ");
+  PrintRate("libm_elems_per_sec", phi_section.libm_rate);
+  std::printf(",\n    \"repeats\": %zu,\n", kRateRepeats);
   std::printf("    \"digest\": \"%016" PRIx64 "\"\n", phi_section.digest);
   std::printf("  },\n");
   std::printf("  \"fold_scaling\": {\n");
@@ -1926,10 +1948,11 @@ int main(int argc, char** argv) {
   std::printf("    \"num_user_years\": %zu,\n", fold_section.num_user_years);
   std::printf("    \"dense_matches_hashed\": %s,\n",
               fold_section.dense_matches_hashed ? "true" : "false");
-  std::printf("    \"hashed_user_years_per_sec\": %.1f,\n",
-              fold_section.hashed_rate);
-  std::printf("    \"dense_user_years_per_sec\": %.1f,\n",
-              fold_section.dense_rate);
+  std::printf("    ");
+  PrintRate("hashed_user_years_per_sec", fold_section.hashed_rate);
+  std::printf(",\n    ");
+  PrintRate("dense_user_years_per_sec", fold_section.dense_rate);
+  std::printf(",\n    \"repeats\": %zu,\n", kRateRepeats);
   std::printf("    \"digest\": \"%016" PRIx64 "\"\n", fold_section.digest);
   std::printf("  },\n");
   std::printf("  \"serving_scaling\": {\n");
@@ -2006,11 +2029,11 @@ int main(int argc, char** argv) {
   }
   std::printf("  \"micro\": [\n");
   for (size_t i = 0; i < micro.size(); ++i) {
-    std::printf(
-        "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
-        "\"items_per_sec\": %.1f}%s\n",
-        micro[i].name.c_str(), micro[i].seconds, micro[i].items_per_sec,
-        i + 1 < micro.size() ? "," : "");
+    std::printf("    {\"name\": \"%s\", \"wall_seconds\": %.6f, ",
+                micro[i].name.c_str(), micro[i].seconds);
+    PrintRate("items_per_sec", micro[i].items_per_sec);
+    std::printf(", \"repeats\": %zu}%s\n", kRateRepeats,
+                i + 1 < micro.size() ? "," : "");
   }
   std::printf("  ]\n");
   std::printf("}\n");

@@ -91,9 +91,11 @@ Checks, in order of severity:
    signal and the thread-sweep comparison is skipped with a note. A
    point that reports a [min, max] range over repeated samples (KEY_min
    and KEY_max next to its median KEY: the multi_trial_scaling and
-   market_scaling runs, the connection_sweep points) warns only when the
-   fresh range lies wholly below the snapshot's; overlapping ranges are
-   noise. Points without a range on either side compare medians alone.
+   market_scaling runs, the connection_sweep points, the simd_scaling
+   kernels, the phi_scaling and fold_scaling rates and the micro
+   entries) warns only when the fresh range lies wholly below the
+   snapshot's; overlapping ranges are noise. Points without a range on
+   either side compare medians alone.
 
 A missing or unparsable input file is a usage/environment error, not a
 bench regression: the check exits 1 with a one-line message naming the
@@ -558,15 +560,13 @@ def main(argv):
         check_thread_sweep(
             "market_scaling", fresh, snapshot, "trials_per_sec", warnings
         )
-    snapshot_micro = {
-        m["name"]: m.get("items_per_sec")
-        for m in snapshot.get("micro", [])
-    }
+    snapshot_micro = {m["name"]: m for m in snapshot.get("micro", [])}
     for micro in fresh.get("micro", []):
-        check_rate(
+        check_point_rate(
             f"micro {micro['name']}",
-            micro.get("items_per_sec"),
+            micro,
             snapshot_micro.get(micro["name"]),
+            "items_per_sec",
             warnings,
         )
     # simd_scaling kernel rates, by name (warn only, like every rate; the
@@ -577,35 +577,36 @@ def main(argv):
         for k in snapshot.get("simd_scaling", {}).get("kernels", [])
     }
     for kernel in fresh.get("simd_scaling", {}).get("kernels", []):
-        reference = snapshot_kernels.get(kernel["name"], {})
         for rate_key in ("scalar_elems_per_sec", "simd_elems_per_sec"):
-            check_rate(
+            check_point_rate(
                 f"simd {kernel['name']} {rate_key}",
-                kernel.get(rate_key),
-                reference.get(rate_key),
+                kernel,
+                snapshot_kernels.get(kernel["name"]),
+                rate_key,
                 warnings,
             )
-    for rate_key in (
-        "scalar_elems_per_sec",
-        "vector_elems_per_sec",
-        "libm_elems_per_sec",
+    for section, rate_keys in (
+        (
+            "phi_scaling",
+            (
+                "scalar_elems_per_sec",
+                "vector_elems_per_sec",
+                "libm_elems_per_sec",
+            ),
+        ),
+        (
+            "fold_scaling",
+            ("hashed_user_years_per_sec", "dense_user_years_per_sec"),
+        ),
     ):
-        check_rate(
-            f"phi_scaling {rate_key}",
-            fresh.get("phi_scaling", {}).get(rate_key),
-            snapshot.get("phi_scaling", {}).get(rate_key),
-            warnings,
-        )
-    for rate_key in (
-        "hashed_user_years_per_sec",
-        "dense_user_years_per_sec",
-    ):
-        check_rate(
-            f"fold_scaling {rate_key}",
-            fresh.get("fold_scaling", {}).get(rate_key),
-            snapshot.get("fold_scaling", {}).get(rate_key),
-            warnings,
-        )
+        for rate_key in rate_keys:
+            check_point_rate(
+                f"{section} {rate_key}",
+                fresh.get(section),
+                snapshot.get(section),
+                rate_key,
+                warnings,
+            )
     # Serving throughput: end-to-end jobs/sec through the experiment
     # service (admission + scheduling + render + transport), warn-only
     # like every other rate.

@@ -9,8 +9,7 @@ AdrFilter::AdrFilter(std::vector<Race> races, double forgetting_factor)
     : races_(std::move(races)),
       forgetting_factor_(forgetting_factor),
       offer_weight_(races_.size(), 0.0),
-      default_weight_(races_.size(), 0.0),
-      offer_count_(races_.size(), 0) {
+      default_weight_(races_.size(), 0.0) {
   EQIMPACT_CHECK(!races_.empty());
   EQIMPACT_CHECK(forgetting_factor_ > 0.0 && forgetting_factor_ <= 1.0);
   for (Race race : races_) {
@@ -18,11 +17,6 @@ AdrFilter::AdrFilter(std::vector<Race> races, double forgetting_factor)
     EQIMPACT_CHECK_LT(id, kNumRaces);
     ++race_counts_[id];
   }
-}
-
-int64_t AdrFilter::UserOffers(size_t i) const {
-  EQIMPACT_CHECK_LT(i, races_.size());
-  return offer_count_[i];
 }
 
 double AdrFilter::RaceAdr(Race race) const {

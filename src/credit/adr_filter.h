@@ -22,7 +22,7 @@ namespace credit {
 /// and 0 before the first offer. The race-wise rate ADR_s(k) is the mean
 /// of ADR_i(k) over users of race s.
 ///
-/// Storage is structure-of-arrays (parallel weight/count vectors); the
+/// Storage is structure-of-arrays (parallel weight vectors); the
 /// per-user `Update`/`UserAdr` pair is inline and touches only user i's
 /// slots, so the batch engine may update disjoint index ranges from
 /// different threads concurrently.
@@ -48,7 +48,6 @@ class AdrFilter {
     offer_weight_[i] = forgetting_factor_ * offer_weight_[i] + 1.0;
     default_weight_[i] =
         forgetting_factor_ * default_weight_[i] + (repaid ? 0.0 : 1.0);
-    ++offer_count_[i];
   }
 
   /// ADR_i after all updates so far (0 before any offer).
@@ -57,9 +56,6 @@ class AdrFilter {
     if (offer_weight_[i] <= 0.0) return 0.0;
     return default_weight_[i] / offer_weight_[i];
   }
-
-  /// Number of offers user `i` has received.
-  int64_t UserOffers(size_t i) const;
 
   /// Raw filter state of user `i`: the (possibly forgetting-weighted)
   /// offer weight and default weight whose guarded ratio is UserAdr.
@@ -111,20 +107,16 @@ class AdrFilter {
   const std::vector<double>& default_weights() const {
     return default_weight_;
   }
-  const std::vector<int64_t>& offer_counts() const { return offer_count_; }
 
   /// Overwrites the per-user state with previously saved arrays
-  /// (checkpoint resume). CHECK-fails unless all three sizes equal
+  /// (checkpoint resume). CHECK-fails unless both sizes equal
   /// num_users().
   void RestoreState(std::vector<double> offer_weight,
-                    std::vector<double> default_weight,
-                    std::vector<int64_t> offer_count) {
+                    std::vector<double> default_weight) {
     EQIMPACT_CHECK_EQ(offer_weight.size(), races_.size());
     EQIMPACT_CHECK_EQ(default_weight.size(), races_.size());
-    EQIMPACT_CHECK_EQ(offer_count.size(), races_.size());
     offer_weight_ = std::move(offer_weight);
     default_weight_ = std::move(default_weight);
-    offer_count_ = std::move(offer_count);
   }
 
  private:
@@ -134,7 +126,6 @@ class AdrFilter {
   // exponentially weighted sums (weight and weighted default count).
   std::vector<double> offer_weight_;
   std::vector<double> default_weight_;
-  std::vector<int64_t> offer_count_;
   size_t race_counts_[kNumRaces] = {0, 0, 0};
 };
 

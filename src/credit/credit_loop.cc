@@ -122,8 +122,10 @@ struct ChunkScratch {
 // pool, dense_history_fold or the checkpoint knobs themselves, which are
 // bitwise-neutral by the engine's determinism contract, so a trial
 // checkpointed at one thread count may be resumed at any other.
+// Version 2 stores per user a race id and the filter's two weights;
+// version 1 also stored an int64 offer counter that nothing read.
 constexpr uint32_t kLoopSnapshotMagic = 0x4b435145u;  // "EQCK"
-constexpr uint32_t kLoopSnapshotVersion = 1;
+constexpr uint32_t kLoopSnapshotVersion = 2;
 
 uint64_t HashBytes(const uint8_t* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
@@ -228,10 +230,8 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
   if (resume) {
     std::vector<double> offer_weight = resume->ReadDoubleVector();
     std::vector<double> default_weight = resume->ReadDoubleVector();
-    std::vector<int64_t> offer_count = resume->ReadI64Vector();
     EQIMPACT_CHECK(resume->ok());
-    filter.RestoreState(std::move(offer_weight), std::move(default_weight),
-                        std::move(offer_count));
+    filter.RestoreState(std::move(offer_weight), std::move(default_weight));
   }
   const std::vector<uint8_t>& race_ids = population.race_ids();
 
@@ -418,7 +418,6 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     writer.WriteU8Vector(race_ids);
     writer.WriteDoubleVector(filter.offer_weights());
     writer.WriteDoubleVector(filter.default_weights());
-    writer.WriteI64Vector(filter.offer_counts());
     history.Serialize(&writer);
     writer.WriteBool(trainer.fitted());
     writer.WriteDoubleVector(trainer.weights().data());
@@ -671,8 +670,31 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
       }
     }
 
-    // Record the year's aggregates — one fused pass over the filter.
-    const AdrFilter::Summary summary = filter.Summarize();
+    // The year's aggregates come from one fused serial pass over the
+    // filter. With an observer and a pool, that pass runs as one task on
+    // the pool while the observer runs (the observer may dispatch its own
+    // reduction there too); the summary is joined on every way out of
+    // the observer, because the task writes this stack local. A
+    // one-chunk cohort keeps it inline: its pass is shorter than a pool
+    // round trip. The pass is the same code in the same user order
+    // either way, so the bits do not depend on which thread ran it.
+    AdrFilter::Summary summary;
+    const YearSnapshot snapshot{k, year, adr_snapshot, result.races, race_ids,
+                                dispatch.pool};
+    if (observer && dispatch.pool != nullptr && num_chunks > 1) {
+      dispatch.pool->Submit(
+          [&summary, &filter] { summary = filter.Summarize(); });
+      try {
+        observer(snapshot);
+      } catch (...) {
+        dispatch.pool->Wait();
+        throw;
+      }
+      dispatch.pool->Wait();
+    } else {
+      summary = filter.Summarize();
+      if (observer) observer(snapshot);
+    }
     for (size_t r = 0; r < kNumRaces; ++r) {
       result.race_adr[r].push_back(summary.race_adr[r]);
       const size_t members = population.CountRace(static_cast<Race>(r));
@@ -687,10 +709,6 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
       for (size_t i = 0; i < num_users; ++i) {
         result.user_adr[i].push_back(adr_snapshot[i]);
       }
-    }
-    if (observer) {
-      observer(YearSnapshot{k, year, adr_snapshot, result.races, race_ids,
-                            dispatch.pool});
     }
 
     if (options_.checkpoint_sink) write_checkpoint(k + 1);

@@ -176,9 +176,11 @@ struct YearSnapshot {
   const std::vector<Race>& races;
   const std::vector<uint8_t>& race_ids;
   /// The loop's within-trial pool, or null when the loop runs inline.
-  /// Idle for the duration of the callback, so the observer may dispatch
-  /// its own reduction on it (e.g. stats::AdrAccumulator's block-parallel
-  /// cross-section). Never part of the simulated output.
+  /// The observer may dispatch its own reduction on it (e.g.
+  /// stats::AdrAccumulator's span-parallel cross-section). The loop's
+  /// own year summary runs there as one task during the callback, so a
+  /// Wait() on the pool also waits for it. Never part of the simulated
+  /// output.
   runtime::ThreadPool* pool = nullptr;
 };
 

@@ -20,9 +20,10 @@ struct ParallelForOptions {
   /// this pool's workers (using all of them) instead of spawning a
   /// throwaway pool, which removes the per-call thread-creation cost for
   /// fine-grained inner loops (e.g. the credit engine's per-year chunk
-  /// passes). The pool must be idle when ParallelFor is called and is
-  /// idle again when it returns; ParallelFor never destroys it. Not
-  /// owned; must outlive the call.
+  /// passes). A dispatch on the pool waits for every task there,
+  /// including one queued before the call (and rethrows its exception);
+  /// an inline run leaves such a task alone. ParallelFor never destroys
+  /// the pool. Not owned; must outlive the call.
   ThreadPool* pool = nullptr;
 };
 

@@ -96,9 +96,9 @@ TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
   loop_options.checkpoint_sink = context.checkpoint_sink;
   loop_options.resume_state = context.resume_state;
   credit::CreditScoringLoop loop(loop_options);
-  // The impact observer reduces each year's cross-section block-parallel
-  // on the loop's own (then idle) pool: the same fixed blocks, merged in
-  // the same order, as the serial AddCrossSection.
+  // The impact observer reduces each year's cross-section on the loop's
+  // own pool, one span of blocks per task: the same fixed blocks, merged
+  // in the same order, as the serial AddCrossSection.
   std::vector<stats::CrossSectionBlock> blocks;
   credit::CreditLoopResult record =
       loop.Run([impacts, &blocks](const credit::YearSnapshot& snapshot) {
@@ -110,10 +110,11 @@ TrialOutcome CreditScenario::RunTrial(const TrialContext& context,
         dispatch.num_threads = 1;
         dispatch.pool = snapshot.pool;
         runtime::ParallelForChunks(
-            n, stats::kCrossSectionBlockSize,
-            [&](size_t b, size_t begin, size_t end) {
-              impacts->ReduceCrossSectionBlock(&values[begin], &groups[begin],
-                                               end - begin, &blocks[b]);
+            n, stats::kCrossSectionSpanBlocks * stats::kCrossSectionBlockSize,
+            [&](size_t span, size_t begin, size_t end) {
+              impacts->ReduceCrossSectionBlocks(
+                  &values[begin], &groups[begin], end - begin,
+                  &blocks[span * stats::kCrossSectionSpanBlocks]);
             },
             dispatch);
         impacts->AddCrossSectionBlocks(snapshot.step, blocks);

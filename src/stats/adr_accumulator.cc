@@ -73,28 +73,51 @@ void AdrAccumulator::AddCrossSection(size_t k,
                                      const std::vector<uint8_t>& groups) {
   EQIMPACT_CHECK_EQ(values.size(), groups.size());
   EQIMPACT_CHECK_LT(k, num_steps_);
-  for (size_t begin = 0; begin < values.size();
-       begin += kCrossSectionBlockSize) {
-    const size_t count =
-        std::min(kCrossSectionBlockSize, values.size() - begin);
-    ReduceCrossSectionBlock(&values[begin], &groups[begin], count,
-                            &scratch_block_);
-    MergeBlock(k, scratch_block_);
+  constexpr size_t kSpan = kCrossSectionSpanBlocks * kCrossSectionBlockSize;
+  for (size_t begin = 0; begin < values.size(); begin += kSpan) {
+    const size_t count = std::min(kSpan, values.size() - begin);
+    ReduceCrossSectionBlocks(&values[begin], &groups[begin], count,
+                             scratch_blocks_);
+    const size_t num_blocks = (count + kCrossSectionBlockSize - 1) /
+                              kCrossSectionBlockSize;
+    for (size_t j = 0; j < num_blocks; ++j) MergeBlock(k, scratch_blocks_[j]);
   }
 }
 
-void AdrAccumulator::ReduceCrossSectionBlock(const double* values,
-                                             const uint8_t* groups,
-                                             size_t count,
-                                             CrossSectionBlock* block) const {
-  EQIMPACT_CHECK_LE(count, kCrossSectionBlockSize);
-  block->stats.assign(num_groups_, RunningStats());
-  block->bins.assign(num_groups_ * num_bins_, 0);
-  for (size_t i = 0; i < count; ++i) {
+void AdrAccumulator::ReduceCrossSectionBlocks(const double* values,
+                                              const uint8_t* groups,
+                                              size_t count,
+                                              CrossSectionBlock* blocks) const {
+  constexpr size_t kBlock = kCrossSectionBlockSize;
+  constexpr size_t kWidth = kCrossSectionSpanBlocks;
+  EQIMPACT_CHECK_LE(count, kWidth * kBlock);
+  const size_t num_blocks = (count + kBlock - 1) / kBlock;
+  RunningStats* stats[kWidth] = {};
+  int64_t* bins[kWidth] = {};
+  for (size_t j = 0; j < num_blocks; ++j) {
+    blocks[j].stats.assign(num_groups_, RunningStats());
+    blocks[j].bins.assign(num_groups_ * num_bins_, 0);
+    stats[j] = blocks[j].stats.data();
+    bins[j] = blocks[j].bins.data();
+  }
+  const auto add = [&](size_t j, size_t i) {
     const size_t g = groups[i];
     EQIMPACT_CHECK_LT(g, num_groups_);
-    block->stats[g].Add(values[i]);
-    ++block->bins[g * num_bins_ + BinIndex(values[i])];
+    stats[j][g].Add(values[i]);
+    ++bins[j][g * num_bins_ + BinIndex(values[i])];
+  };
+  if (count == kWidth * kBlock) {
+    // One value of each block per step: the blocks' Welford chains are
+    // independent, so their divisions overlap, and each chain still sees
+    // its own values in order.
+    for (size_t i = 0; i < kBlock; ++i) {
+      for (size_t j = 0; j < kWidth; ++j) add(j, j * kBlock + i);
+    }
+    return;
+  }
+  for (size_t j = 0; j < num_blocks; ++j) {
+    const size_t end = std::min(count, (j + 1) * kBlock);
+    for (size_t i = j * kBlock; i < end; ++i) add(j, i);
   }
 }
 

@@ -17,6 +17,10 @@ namespace stats {
 /// fix the merge order, and with it the bits of every moment.
 inline constexpr size_t kCrossSectionBlockSize = 4096;
 
+/// Blocks per span of ReduceCrossSectionBlocks: the unit a full span
+/// reduces in lockstep, and the unit of work a caller hands a worker.
+inline constexpr size_t kCrossSectionSpanBlocks = 4;
+
 /// Non-negative counters held in 16 bits each until one would pass
 /// 65535, then in 64 bits. A histogram of one trial of a few hundred
 /// units never widens, so its cells cost a quarter of the memory; the
@@ -112,23 +116,31 @@ class AdrAccumulator {
   /// group groups[i]. CHECK-fails on length mismatch.
   ///
   /// A fixed-block reduction: each kCrossSectionBlockSize-value block is
-  /// reduced on its own (ReduceCrossSectionBlock) and the blocks merge
-  /// into the step's cells in block order (AddCrossSectionBlocks). A
-  /// caller with a thread pool may reduce the blocks concurrently
-  /// through those two halves and gets the same bits. A cross-section of
-  /// at most one block added to an empty step is bitwise the per-value
-  /// Add loop.
+  /// reduced on its own (ReduceCrossSectionBlocks, a span of up to
+  /// kCrossSectionSpanBlocks blocks per call) and the blocks merge into
+  /// the step's cells in block order (AddCrossSectionBlocks). A caller
+  /// with a thread pool may reduce the spans concurrently through those
+  /// two halves and gets the same bits. A cross-section of at most one
+  /// block added to an empty step is bitwise the per-value Add loop.
   void AddCrossSection(size_t k, const std::vector<double>& values,
                        const std::vector<uint8_t>& groups);
 
-  /// Reduces one block — `count` <= kCrossSectionBlockSize values, with
-  /// values[i] in group groups[i] — into `*block`, overwriting it. Reads
-  /// only this accumulator's shape, so distinct blocks may be reduced
-  /// concurrently. CHECK-fails on an oversized block or a bad group.
-  void ReduceCrossSectionBlock(const double* values, const uint8_t* groups,
-                               size_t count, CrossSectionBlock* block) const;
+  /// Reduces a span of `count` <= kCrossSectionSpanBlocks *
+  /// kCrossSectionBlockSize values, with values[i] in group groups[i],
+  /// into blocks[0..ceil(count / kCrossSectionBlockSize)), overwriting
+  /// them: blocks[j] holds the j-th kCrossSectionBlockSize-value block.
+  /// Every block is bitwise that block reduced alone, value by value.
+  /// A full span walks its blocks in lockstep, one value of each per
+  /// step: each (block, group) Welford chain still sees its values in
+  /// order, but four chains' divisions are in flight at once instead of
+  /// one. Reads only this accumulator's shape, so distinct spans may be
+  /// reduced concurrently. CHECK-fails on an oversized span or a bad
+  /// group.
+  void ReduceCrossSectionBlocks(const double* values, const uint8_t* groups,
+                                size_t count,
+                                CrossSectionBlock* blocks) const;
 
-  /// Merges `blocks` (reduced by ReduceCrossSectionBlock, in block
+  /// Merges `blocks` (reduced by ReduceCrossSectionBlocks, in block
   /// order) into step `k`.
   void AddCrossSectionBlocks(size_t k,
                              const std::vector<CrossSectionBlock>& blocks);
@@ -195,10 +207,11 @@ class AdrAccumulator {
   // Indexed [k * num_groups_ + g]; bins additionally by * num_bins_ + b.
   std::vector<RunningStats> stats_;
   BinCounts bin_counts_;
-  // AddCrossSection's reduction buffer, reused across calls so a
-  // per-round observer allocates nothing. Scratch, not state: never
-  // read before ReduceCrossSectionBlock overwrites it, never serialized.
-  CrossSectionBlock scratch_block_;
+  // AddCrossSection's reduction buffers, one span's worth, reused across
+  // calls so a per-round observer allocates nothing. Scratch, not state:
+  // never read before ReduceCrossSectionBlocks overwrites them, never
+  // serialized.
+  CrossSectionBlock scratch_blocks_[kCrossSectionSpanBlocks];
 };
 
 }  // namespace stats

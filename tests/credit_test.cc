@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include "credit/repayment_model.h"
 #include "rng/normal.h"
 #include "rng/random.h"
+#include "runtime/parallel_for.h"
+#include "runtime/thread_pool.h"
 
 namespace eqimpact {
 namespace {
@@ -250,7 +254,7 @@ TEST(RepaymentModelTest, SimulationFrequencyMatchesProbability) {
 TEST(AdrFilterTest, StartsAtZero) {
   credit::AdrFilter filter({Race::kWhiteAlone, Race::kBlackAlone});
   EXPECT_DOUBLE_EQ(filter.UserAdr(0), 0.0);
-  EXPECT_EQ(filter.UserOffers(0), 0);
+  EXPECT_EQ(filter.UserOfferWeight(0), 0.0);
 }
 
 TEST(AdrFilterTest, CountsDefaultsOverOffers) {
@@ -260,7 +264,7 @@ TEST(AdrFilterTest, CountsDefaultsOverOffers) {
   filter.Update(0, false, false);  // No offer: ignored.
   filter.Update(0, true, true);    // Offer, repaid.
   EXPECT_NEAR(filter.UserAdr(0), 1.0 / 3.0, 1e-12);
-  EXPECT_EQ(filter.UserOffers(0), 3);
+  EXPECT_EQ(filter.UserOfferWeight(0), 3.0);
 }
 
 TEST(AdrFilterTest, DenialFreezesAdr) {
@@ -380,7 +384,7 @@ TEST(PopulationTest, RebuildFromRaceIdsReproducesCohort) {
 TEST(AdrFilterTest, RestoreStateReproducesUserAdrBitwise) {
   // Round-trip the raw per-user arrays through a fresh filter (the
   // checkpoint resume path) and check every derived quantity — ADR
-  // ratios, offer counts, race aggregates — is bitwise-preserved and
+  // ratios, offer weights, race aggregates — is bitwise-preserved and
   // that further updates continue identically on both filters.
   rng::Random random(305);
   credit::Population population(300, &random);
@@ -392,12 +396,10 @@ TEST(AdrFilterTest, RestoreStateReproducesUserAdrBitwise) {
   }
 
   credit::AdrFilter restored(population.races());
-  restored.RestoreState(original.offer_weights(), original.default_weights(),
-                        original.offer_counts());
+  restored.RestoreState(original.offer_weights(), original.default_weights());
 
   EXPECT_EQ(restored.UserAdrSnapshot(), original.UserAdrSnapshot());
   for (size_t i = 0; i < original.num_users(); ++i) {
-    EXPECT_EQ(restored.UserOffers(i), original.UserOffers(i));
     EXPECT_EQ(restored.UserOfferWeight(i), original.UserOfferWeight(i));
     EXPECT_EQ(restored.UserDefaultWeight(i), original.UserDefaultWeight(i));
   }
@@ -620,6 +622,71 @@ TEST(CreditLoopTest, YearObserverSeesEveryCrossSection) {
       });
   EXPECT_EQ(calls, reference.years.size());
   EXPECT_TRUE(all_match);
+}
+
+TEST(CreditLoopTest, SummaryBesideTheObserverMatchesInlineSummary) {
+  // With an observer and a pool the year's summary runs as a pool task
+  // while the observer works (here dispatching its own chunks on the
+  // same pool, like the impact observer): the race and overall ADR
+  // series must be bitwise the 1-thread loop's inline summary.
+  credit::CreditLoopOptions options = SmallLoopOptions(16);
+  options.num_users = 3000;
+  options.users_per_chunk = 128;
+  options.keep_user_adr = false;
+  const credit::CreditLoopResult inline_summary =
+      credit::CreditScoringLoop(options).Run();
+
+  options.num_threads = 4;
+  std::vector<double> observed_sums;
+  const credit::CreditLoopResult overlapped =
+      credit::CreditScoringLoop(options).Run(
+          [&](const credit::YearSnapshot& snapshot) {
+            ASSERT_NE(snapshot.pool, nullptr);
+            std::vector<double> partial(
+                runtime::NumChunks(snapshot.user_adr.size(), 256), 0.0);
+            runtime::ParallelForOptions dispatch;
+            dispatch.pool = snapshot.pool;
+            runtime::ParallelForChunks(
+                snapshot.user_adr.size(), 256,
+                [&](size_t c, size_t begin, size_t end) {
+                  for (size_t i = begin; i < end; ++i) {
+                    partial[c] += snapshot.user_adr[i];
+                  }
+                },
+                dispatch);
+            observed_sums.push_back(
+                std::accumulate(partial.begin(), partial.end(), 0.0));
+          });
+  EXPECT_EQ(overlapped.race_adr, inline_summary.race_adr);
+  EXPECT_EQ(overlapped.overall_adr, inline_summary.overall_adr);
+  EXPECT_EQ(overlapped.race_approval, inline_summary.race_approval);
+  EXPECT_EQ(observed_sums.size(), inline_summary.years.size());
+}
+
+TEST(CreditLoopTest, ThrowingObserverJoinsTheSummaryTask) {
+  // An observer that throws while the summary task runs beside it: Run
+  // joins the task before the exception leaves (the task writes a local
+  // of Run's frame), and the pool stays usable for the next run.
+  credit::CreditLoopOptions options = SmallLoopOptions(17);
+  options.num_users = 2000;
+  options.users_per_chunk = 128;
+  options.keep_user_adr = false;
+  runtime::ThreadPool pool(3);
+  options.pool = &pool;
+  size_t calls = 0;
+  EXPECT_THROW(credit::CreditScoringLoop(options).Run(
+                   [&calls](const credit::YearSnapshot& snapshot) {
+                     if (++calls == 3) throw std::runtime_error("observer");
+                     EXPECT_NE(snapshot.pool, nullptr);
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(calls, 3u);
+  const credit::CreditLoopResult after =
+      credit::CreditScoringLoop(options).Run(
+          [](const credit::YearSnapshot&) {});
+  options.pool = nullptr;
+  EXPECT_EQ(after.overall_adr,
+            credit::CreditScoringLoop(options).Run().overall_adr);
 }
 
 TEST(CreditLoopTest, ChunkSizeIsPartOfTheStreamLayout) {

@@ -165,6 +165,26 @@ TEST(CreditScenarioTest, BlockParallelObserverMatchesSerialObserver) {
   }
 }
 
+TEST(CreditScenarioTest, SpanParallelObserverDigestIsPinned) {
+  // 40,000 users make two full four-block spans plus a two-block tail
+  // (the second block partial), so the observer reduces full spans in
+  // lockstep and a partial span block by block, while the loop's year
+  // summary runs beside it on the pool. The digest was taken from the
+  // one-block-per-task observer with the summary inline.
+  sim::CreditScenarioOptions scenario_options;
+  scenario_options.loop.num_users = 40000;
+  sim::ExperimentOptions options;
+  options.num_trials = 1;
+  options.master_seed = 11;
+  for (const size_t threads : {1u, 2u, 4u}) {
+    sim::CreditScenario scenario(scenario_options);
+    options.trial_threads = threads;
+    EXPECT_EQ(sim::ExperimentDigest(sim::RunExperiment(&scenario, options)),
+              0x81e7bfb9e6e3636full)
+        << threads << " trial threads";
+  }
+}
+
 TEST(CreditScenarioTest, SurfacesGroupLabels) {
   sim::MultiTrialOptions options;
   options.loop.num_users = 60;

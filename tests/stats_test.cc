@@ -331,26 +331,72 @@ void MakeCrossSection(size_t n, uint64_t seed, std::vector<double>* values,
 }
 
 TEST(AdrAccumulatorTest, BlocksReducedInAnyOrderMatchAddCrossSection) {
-  // Three full blocks and a partial one: the blocks are reduced back to
-  // front (as concurrent workers might), then added in block order.
-  const size_t n = 3 * stats::kCrossSectionBlockSize + 123;
+  // Two full spans and a partial one: the spans are reduced back to
+  // front (as concurrent workers might), then their blocks are added in
+  // block order.
+  constexpr size_t kBlock = stats::kCrossSectionBlockSize;
+  constexpr size_t kSpan = stats::kCrossSectionSpanBlocks * kBlock;
+  const size_t n = 9 * kBlock + 123;
   std::vector<double> values;
   std::vector<uint8_t> groups;
   MakeCrossSection(n, 21, &values, &groups);
   stats::AdrAccumulator serial(3, 2, 16);
   stats::AdrAccumulator blocked(3, 2, 16);
   serial.AddCrossSection(1, values, groups);
-  const size_t num_blocks = 4;
-  std::vector<stats::CrossSectionBlock> blocks(num_blocks);
-  for (size_t b = num_blocks; b-- > 0;) {
-    const size_t begin = b * stats::kCrossSectionBlockSize;
-    const size_t count = std::min(stats::kCrossSectionBlockSize, n - begin);
-    blocked.ReduceCrossSectionBlock(&values[begin], &groups[begin], count,
-                                    &blocks[b]);
+  std::vector<stats::CrossSectionBlock> blocks(10);
+  for (size_t span = 3; span-- > 0;) {
+    const size_t begin = span * kSpan;
+    blocked.ReduceCrossSectionBlocks(
+        &values[begin], &groups[begin], std::min(kSpan, n - begin),
+        &blocks[span * stats::kCrossSectionSpanBlocks]);
   }
   blocked.AddCrossSectionBlocks(1, blocks);
   EXPECT_EQ(AccumulatorBytes(serial), AccumulatorBytes(blocked));
   EXPECT_EQ(serial.StepCount(1), static_cast<int64_t>(n));
+}
+
+TEST(AdrAccumulatorTest, SpanReductionIsBitwiseEachBlockAlone) {
+  // Every block a span reduction writes — lockstep over a full span,
+  // block by block over a partial one — is bitwise its values added one
+  // by one. Values stray outside [lo, hi] and the groups are skewed
+  // (80/15/5), so the three Welford chains of a block run at different
+  // lengths.
+  constexpr size_t kBlock = stats::kCrossSectionBlockSize;
+  constexpr size_t kSpan = stats::kCrossSectionSpanBlocks * kBlock;
+  const size_t sizes[] = {1,
+                          kBlock - 1,
+                          kBlock,
+                          3 * kBlock + 123,
+                          4 * kBlock,
+                          4 * kBlock + 1,
+                          9 * kBlock + 7};
+  for (const size_t n : sizes) {
+    rng::Random random(n);
+    std::vector<double> values;
+    std::vector<uint8_t> groups;
+    for (size_t i = 0; i < n; ++i) {
+      values.push_back(1.4 * random.UniformDouble() - 0.2);
+      const double u = random.UniformDouble();
+      groups.push_back(u < 0.8 ? 0 : (u < 0.95 ? 1 : 2));
+    }
+    const stats::AdrAccumulator shape(3, 1, 16);
+    std::vector<stats::CrossSectionBlock> blocks((n + kBlock - 1) / kBlock);
+    for (size_t begin = 0; begin < n; begin += kSpan) {
+      shape.ReduceCrossSectionBlocks(&values[begin], &groups[begin],
+                                     std::min(kSpan, n - begin),
+                                     &blocks[begin / kBlock]);
+    }
+    for (size_t j = 0; j < blocks.size(); ++j) {
+      stats::AdrAccumulator reduced(3, 1, 16);
+      reduced.AddCrossSectionBlocks(0, {blocks[j]});
+      stats::AdrAccumulator added(3, 1, 16);
+      for (size_t i = j * kBlock; i < std::min(n, (j + 1) * kBlock); ++i) {
+        added.Add(0, groups[i], values[i]);
+      }
+      EXPECT_EQ(AccumulatorBytes(reduced), AccumulatorBytes(added))
+          << "n = " << n << ", block " << j;
+    }
+  }
 }
 
 TEST(AdrAccumulatorTest, OneBlockCrossSectionMatchesPerValueAdds) {
