@@ -218,13 +218,15 @@ struct Rate {
   double median = 0.0;
   double min = 0.0;
   double max = 0.0;
+  size_t repeats = 0;  ///< Samples behind the rate.
 };
 
 /// `items` per second over TimeThree's ascending `seconds` (0 for a
 /// zero time).
 Rate RateOf(double items, const std::vector<double>& seconds) {
   const auto rate = [items](double t) { return t > 0.0 ? items / t : 0.0; };
-  return {rate(seconds[1]), rate(seconds.back()), rate(seconds.front())};
+  return {rate(seconds[1]), rate(seconds.back()), rate(seconds.front()),
+          seconds.size()};
 }
 
 /// Prints `"KEY": median, "KEY_min": min, "KEY_max": max` with no
@@ -233,9 +235,6 @@ void PrintRate(const char* key, const Rate& rate) {
   std::printf("\"%s\": %.1f, \"%s_min\": %.1f, \"%s_max\": %.1f", key,
               rate.median, key, rate.min, key, rate.max);
 }
-
-/// Repeats behind every Rate (TimeThree's sample count).
-constexpr size_t kRateRepeats = 3;
 
 struct MicroResult {
   std::string name;
@@ -420,7 +419,7 @@ void TimeScalingPoint(size_t items, const std::function<void()>& fn,
                       ScalingPoint* point) {
   const std::vector<double> seconds = TimeThree(fn);
   const Rate rate = RateOf(static_cast<double>(items), seconds);
-  point->repeats = seconds.size();
+  point->repeats = rate.repeats;
   point->seconds = seconds[1];
   point->items_per_sec = rate.median;
   point->items_per_sec_min = rate.min;
@@ -466,11 +465,15 @@ uint64_t CoefficientDigest(const eqimpact::ml::LogisticRegression& model) {
 
 struct SimdKernelPoint {
   std::string name;
-  double scalar_seconds = 0.0;  ///< Median, per pass.
-  double simd_seconds = 0.0;
   Rate scalar_rate;  ///< Output values per second.
   Rate simd_rate;
   bool matches = false;
+
+  /// Median simd rate over median scalar rate (0 for a zero rate).
+  double speedup() const {
+    return scalar_rate.median > 0.0 ? simd_rate.median / scalar_rate.median
+                                    : 0.0;
+  }
 };
 
 struct SimdSection {
@@ -484,8 +487,7 @@ struct SimdSection {
 /// dispatch on identical inputs, checks the outputs bit for bit, and
 /// mixes the scalar outputs into the section digest. `scalar_fn` and
 /// `simd_fn` must each run `reps` passes filling `out_size` doubles of
-/// their buffer; the recorded seconds are per pass, the rates in output
-/// values per second.
+/// their buffer; the rates are in output values per second.
 SimdKernelPoint SimdKernel(const std::string& name, size_t out_size,
                            int reps,
                            const std::function<void(double*)>& scalar_fn,
@@ -500,8 +502,6 @@ SimdKernelPoint SimdKernel(const std::string& name, size_t out_size,
       TimeThree([&] { scalar_fn(scalar_out.data()); });
   const std::vector<double> simd_samples =
       TimeThree([&] { simd_fn(simd_out.data()); });
-  point.scalar_seconds = scalar_samples[1] / reps;
-  point.simd_seconds = simd_samples[1] / reps;
   point.scalar_rate = RateOf(items, scalar_samples);
   point.simd_rate = RateOf(items, simd_samples);
   point.matches = std::memcmp(scalar_out.data(), simd_out.data(),
@@ -509,13 +509,10 @@ SimdKernelPoint SimdKernel(const std::string& name, size_t out_size,
   for (double value : scalar_out) digest->MixDouble(value);
   std::fprintf(stderr,
                "  simd %-18s scalar %.4fs  %s %.4fs  (%.2fx, %s)\n",
-               name.c_str(), point.scalar_seconds,
+               name.c_str(), scalar_samples[1] / reps,
                eqimpact::runtime::simd::BackendName(
                    eqimpact::runtime::simd::ActiveBackend()),
-               point.simd_seconds,
-               point.simd_seconds > 0.0
-                   ? point.scalar_seconds / point.simd_seconds
-                   : 0.0,
+               simd_samples[1] / reps, point.speedup(),
                point.matches ? "bitwise equal" : "MISMATCH");
   return point;
 }
@@ -1918,10 +1915,8 @@ int main(int argc, char** argv) {
       PrintRate("scalar_elems_per_sec", point.scalar_rate);
       std::printf(", ");
       PrintRate("simd_elems_per_sec", point.simd_rate);
-      std::printf(", \"repeats\": %zu, \"speedup\": %.3f}%s\n", kRateRepeats,
-                  point.simd_seconds > 0.0
-                      ? point.scalar_seconds / point.simd_seconds
-                      : 0.0,
+      std::printf(", \"repeats\": %zu, \"speedup\": %.3f}%s\n",
+                  point.scalar_rate.repeats, point.speedup(),
                   i + 1 < simd_section.kernels.size() ? "," : "");
     }
     std::printf("    ]\n");
@@ -1940,7 +1935,7 @@ int main(int argc, char** argv) {
   PrintRate("vector_elems_per_sec", phi_section.vector_rate);
   std::printf(",\n    ");
   PrintRate("libm_elems_per_sec", phi_section.libm_rate);
-  std::printf(",\n    \"repeats\": %zu,\n", kRateRepeats);
+  std::printf(",\n    \"repeats\": %zu,\n", phi_section.scalar_rate.repeats);
   std::printf("    \"digest\": \"%016" PRIx64 "\"\n", phi_section.digest);
   std::printf("  },\n");
   std::printf("  \"fold_scaling\": {\n");
@@ -1952,7 +1947,7 @@ int main(int argc, char** argv) {
   PrintRate("hashed_user_years_per_sec", fold_section.hashed_rate);
   std::printf(",\n    ");
   PrintRate("dense_user_years_per_sec", fold_section.dense_rate);
-  std::printf(",\n    \"repeats\": %zu,\n", kRateRepeats);
+  std::printf(",\n    \"repeats\": %zu,\n", fold_section.hashed_rate.repeats);
   std::printf("    \"digest\": \"%016" PRIx64 "\"\n", fold_section.digest);
   std::printf("  },\n");
   std::printf("  \"serving_scaling\": {\n");
@@ -2032,7 +2027,7 @@ int main(int argc, char** argv) {
     std::printf("    {\"name\": \"%s\", \"wall_seconds\": %.6f, ",
                 micro[i].name.c_str(), micro[i].seconds);
     PrintRate("items_per_sec", micro[i].items_per_sec);
-    std::printf(", \"repeats\": %zu}%s\n", kRateRepeats,
+    std::printf(", \"repeats\": %zu}%s\n", micro[i].items_per_sec.repeats,
                 i + 1 < micro.size() ? "," : "");
   }
   std::printf("  ]\n");

@@ -674,14 +674,13 @@ CreditLoopResult CreditScoringLoop::Run(const YearObserver& observer) const {
     // filter. With an observer and a pool, that pass runs as one task on
     // the pool while the observer runs (the observer may dispatch its own
     // reduction there too); the summary is joined on every way out of
-    // the observer, because the task writes this stack local. A
-    // one-chunk cohort keeps it inline: its pass is shorter than a pool
-    // round trip. The pass is the same code in the same user order
-    // either way, so the bits do not depend on which thread ran it.
+    // the observer, because the task writes this stack local. The pass
+    // is the same code in the same user order either way, so the bits
+    // do not depend on which thread ran it.
     AdrFilter::Summary summary;
     const YearSnapshot snapshot{k, year, adr_snapshot, result.races, race_ids,
                                 dispatch.pool};
-    if (observer && dispatch.pool != nullptr && num_chunks > 1) {
+    if (observer && dispatch.pool != nullptr) {
       dispatch.pool->Submit(
           [&summary, &filter] { summary = filter.Summarize(); });
       try {

@@ -24,9 +24,10 @@ namespace {
 // to, and a trailing FNV-1a byte checksum. The engine-level trial blob
 // travels opaquely inside (it carries its own magic, fingerprint and
 // checksum, so scenario-option mismatches are caught on resume by the
-// engine itself).
+// engine itself). Version 2 frames EQCK version-2 trial blobs, so a
+// version-1 file is rejected here, before any trial state is restored.
 constexpr uint32_t kExperimentSnapshotMagic = 0x50585145u;  // "EQXP"
-constexpr uint32_t kExperimentSnapshotVersion = 1;
+constexpr uint32_t kExperimentSnapshotVersion = 2;
 
 uint64_t HashBytes(const uint8_t* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;

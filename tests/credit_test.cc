@@ -663,6 +663,31 @@ TEST(CreditLoopTest, SummaryBesideTheObserverMatchesInlineSummary) {
   EXPECT_EQ(observed_sums.size(), inline_summary.years.size());
 }
 
+TEST(CreditLoopTest, OneChunkCohortOnACallerPoolMatchesInlineSummary) {
+  // A caller-owned pool with a one-chunk cohort (sequential trial
+  // dispatch of small trials): the summary still runs beside the
+  // observer, whose own dispatch of one chunk runs inline, and the
+  // series stay bitwise the inline summary's.
+  credit::CreditLoopOptions options = SmallLoopOptions(18);
+  options.num_users = 500;
+  options.keep_user_adr = false;
+  const credit::CreditLoopResult inline_summary =
+      credit::CreditScoringLoop(options).Run();
+
+  runtime::ThreadPool pool(2);
+  options.pool = &pool;
+  size_t calls = 0;
+  const credit::CreditLoopResult overlapped =
+      credit::CreditScoringLoop(options).Run(
+          [&calls](const credit::YearSnapshot& snapshot) {
+            EXPECT_NE(snapshot.pool, nullptr);
+            ++calls;
+          });
+  EXPECT_EQ(overlapped.race_adr, inline_summary.race_adr);
+  EXPECT_EQ(overlapped.overall_adr, inline_summary.overall_adr);
+  EXPECT_EQ(calls, inline_summary.years.size());
+}
+
 TEST(CreditLoopTest, ThrowingObserverJoinsTheSummaryTask) {
   // An observer that throws while the summary task runs beside it: Run
   // joins the task before the exception leaves (the task writes a local
